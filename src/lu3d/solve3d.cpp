@@ -1,5 +1,6 @@
 #include "lu3d/solve3d.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "numeric/dense_kernels.hpp"
@@ -15,14 +16,20 @@ using sim::ComputeKind;
 /// All solves operate on an n x nrhs column-major panel X (ldx = n), so one
 /// forward/backward sweep (one set of z-messages and broadcasts) serves the
 /// whole batch: message sizes scale with nrhs but message *counts* do not.
-/// Contribution messages carry the *negated* partial product (gemm_minus
-/// computes C -= A B into a zeroed buffer), so receivers accumulate with +=.
+/// Each block product is the *negated* partial product (gemm_minus computes
+/// C -= A B into a zeroed buffer), folded into the rank's local sum for the
+/// target; diagonal owners accumulate the sums with += in a fixed order
+/// (remote sources ascending, then their own), so results do not depend
+/// on message arrival order or on the panel width.
 class Solve3dDriver {
  public:
   Solve3dDriver(Dist2dFactors& F, sim::Comm& world, sim::ProcessGrid3D& grid,
                 const ForestPartition& part, const Solve3dOptions& opt)
       : F_(F), world_(world), g_(grid), part_(part), bs_(F.structure()),
-        opt_(opt), n_(bs_.n()), nrhs_(opt.nrhs) {
+        opt_(opt), n_(bs_.n()), nrhs_(opt.nrhs),
+        plan_(make_solve3d_plan(bs_, part, grid.plane().Px(),
+                                grid.plane().Py(), world.rank())),
+        lsum_(static_cast<std::size_t>(bs_.n_snodes())) {
     // Descendant index: for each supernode a, the (c, panel block) pairs
     // whose panel contains a block in a's range (ascending c).
     by_anc_.resize(static_cast<std::size_t>(bs_.n_snodes()));
@@ -47,6 +54,8 @@ class Solve3dDriver {
                 "x panel size");
     forward(x);
     backward(x);
+    for (const auto& buf : lsum_)
+      SLU3D_CHECK(buf.empty(), "solve plan left a local sum unsent");
     redistribute(x);
   }
 
@@ -80,8 +89,61 @@ class Solve3dDriver {
             buf[static_cast<std::size_t>(r + j * ns)];
   }
 
+  /// Contribution sums are labelled by the plane they cross.
+  CommPlane plane_to(int peer) const {
+    return peer / (Px() * Py()) == g_.pz() ? CommPlane::XY : CommPlane::Z;
+  }
+
+  /// Local sum of target t, zero-initialized on its first product.
+  std::vector<real_t>& lsum(int t) {
+    auto& buf = lsum_[static_cast<std::size_t>(t)];
+    if (buf.empty())
+      buf.assign(static_cast<std::size_t>(bs_.snode_size(t)) *
+                     static_cast<std::size_t>(nrhs_),
+                 0.0);
+    return buf;
+  }
+
+  /// Called after each product folded into t's local sum: once this
+  /// rank's last one is in, the sum goes to t's diagonal owner — unless
+  /// that is this rank, which adds it itself in gather_sums().
+  void retire(int t, int tag, std::vector<int>& left) {
+    auto& n_left = left[static_cast<std::size_t>(t)];
+    SLU3D_CHECK(n_left > 0, "solve plan misses a block product");
+    if (--n_left > 0) return;
+    const int dst = diag_owner(t);
+    if (dst == world_.rank()) return;
+    auto& buf = lsum_[static_cast<std::size_t>(t)];
+    world_.send(dst, tag, buf, plane_to(dst));
+    std::vector<real_t>().swap(buf);
+  }
+
+  /// On t's diagonal owner: adds the remote local sums in ascending source
+  /// rank, then its own, into x's slice of t.
+  void gather_sums(int t, int tag, std::span<const int> sources,
+                   std::span<real_t> x) {
+    const index_t f = bs_.first_col(t);
+    const index_t ns = bs_.snode_size(t);
+    auto add = [&](std::span<const real_t> v) {
+      SLU3D_CHECK(v.size() == static_cast<std::size_t>(ns) *
+                                  static_cast<std::size_t>(nrhs_),
+                  "contribution size");
+      for (index_t j = 0; j < nrhs_; ++j)
+        for (index_t r = 0; r < ns; ++r)
+          x[static_cast<std::size_t>(f + r + j * n_)] +=
+              v[static_cast<std::size_t>(r + j * ns)];
+    };
+    for (const int src : sources) add(world_.recv(src, tag, plane_to(src)));
+    auto& own = lsum_[static_cast<std::size_t>(t)];
+    if (!own.empty()) {
+      add(own);
+      std::vector<real_t>().swap(own);
+    }
+  }
+
   void forward(std::span<real_t> x) {
     std::vector<real_t> ybuf, vbuf;
+    std::vector<int> left = plan_.fwd_count;
     for (int s = 0; s < bs_.n_snodes(); ++s) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
@@ -90,18 +152,8 @@ class Solve3dDriver {
       const bool in_pcol = my_grid && g_.plane().py() == s % Py();
 
       if (world_.rank() == diag_owner(s)) {
-        for (const auto& [c, blkidx] : by_anc_[static_cast<std::size_t>(s)]) {
-          const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(blkidx)];
-          const int src = world_of(part_.anchor_of(c), s % Px(), c % Py());
-          const auto v = world_.recv(src, ftag(c), CommPlane::Z);
-          const auto m = blk.rows.size();
-          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs_),
-                      "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
-            for (std::size_t r = 0; r < m; ++r)
-              x[static_cast<std::size_t>(blk.rows[r] + j * n_)] +=
-                  v[r + static_cast<std::size_t>(j) * m];
-        }
+        gather_sums(s, ftag(s), plan_.fwd_sources[static_cast<std::size_t>(s)],
+                    x);
         dense::trsm_left_lower_unit(ns, nrhs_, F_.diag(s).data(), ns,
                                     x.data() + f, n_);
         world_.add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
@@ -116,6 +168,7 @@ class Solve3dDriver {
         for (const OwnedBlock& ob : F_.lblocks(s)) {
           const PanelBlock& blk =
               bs_.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
+          const int a = blk.snode;
           const auto m = static_cast<index_t>(blk.rows.size());
           vbuf.assign(static_cast<std::size_t>(m) *
                           static_cast<std::size_t>(nrhs_),
@@ -124,7 +177,16 @@ class Solve3dDriver {
                             vbuf.data(), m);
           world_.add_compute(dense::gemm_flops(m, nrhs_, ns),
                              ComputeKind::Other);
-          world_.send(diag_owner(blk.snode), ftag(s), vbuf, CommPlane::Z);
+          // Fold the product's rows into a's local sum.
+          auto& sum = lsum(a);
+          const index_t fa = bs_.first_col(a);
+          const index_t na = bs_.snode_size(a);
+          for (index_t j = 0; j < nrhs_; ++j)
+            for (index_t r = 0; r < m; ++r)
+              sum[static_cast<std::size_t>(
+                  blk.rows[static_cast<std::size_t>(r)] - fa + j * na)] +=
+                  vbuf[static_cast<std::size_t>(r + j * m)];
+          retire(a, ftag(a), left);
         }
       }
     }
@@ -132,6 +194,7 @@ class Solve3dDriver {
 
   void backward(std::span<real_t> x) {
     std::vector<real_t> xbuf, gbuf, vbuf;
+    std::vector<int> left = plan_.bwd_count;
     for (int s = bs_.n_snodes() - 1; s >= 0; --s) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
@@ -142,18 +205,8 @@ class Solve3dDriver {
       const bool in_pcol = in_group && g_.plane().py() == s % Py();
 
       if (world_.rank() == diag_owner(s)) {
-        // U(s, a) blocks live with supernode s on my own grid.
-        for (const PanelBlock& blk : bs_.lpanel(s)) {
-          const int src = world_of(part_.anchor_of(s), s % Px(), blk.snode % Py());
-          const auto v = world_.recv(src, btag(blk.snode), CommPlane::Z);
-          SLU3D_CHECK(v.size() == static_cast<std::size_t>(ns) *
-                                      static_cast<std::size_t>(nrhs_),
-                      "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
-            for (index_t r = 0; r < ns; ++r)
-              x[static_cast<std::size_t>(f + r + j * n_)] +=
-                  v[static_cast<std::size_t>(r + j * ns)];
-        }
+        gather_sums(s, btag(s), plan_.bwd_sources[static_cast<std::size_t>(s)],
+                    x);
         dense::trsm_left_upper(ns, nrhs_, F_.diag(s).data(), ns, x.data() + f,
                                n_);
         world_.add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
@@ -172,11 +225,8 @@ class Solve3dDriver {
         g_.plane().col().bcast(s % Px(), btag(s), xbuf, CommPlane::XY);
         scatter_slice(xbuf, f, ns, x);
 
-        // U(c, s) contributions for descendants c anchored on my grid,
-        // descending c to match the receivers' global order.
-        const auto& pairs = by_anc_[static_cast<std::size_t>(s)];
-        for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
-          const auto& [c, blkidx] = *it;
+        // U(c, s) products for descendants c anchored on my grid.
+        for (const auto& [c, blkidx] : by_anc_[static_cast<std::size_t>(s)]) {
           if (part_.anchor_of(c) != g_.pz() || c % Px() != g_.plane().px())
             continue;
           OwnedBlock* ob = F_.find_ublock(c, s);
@@ -200,7 +250,9 @@ class Solve3dDriver {
                             vbuf.data(), nc);
           world_.add_compute(dense::gemm_flops(nc, nrhs_, m),
                              ComputeKind::Other);
-          world_.send(diag_owner(c), btag(s), vbuf, CommPlane::Z);
+          auto& sum = lsum(c);
+          for (std::size_t q = 0; q < vbuf.size(); ++q) sum[q] += vbuf[q];
+          retire(c, btag(c), left);
         }
       }
     }
@@ -238,11 +290,64 @@ class Solve3dDriver {
   Solve3dOptions opt_;
   index_t n_;
   index_t nrhs_;
+  Solve3dPlan plan_;
+  /// Per target supernode: this rank's local sum while it is being built.
+  std::vector<std::vector<real_t>> lsum_;
   std::vector<std::vector<std::pair<int, int>>> by_anc_;
   std::vector<sim::Comm> zgroup_;
 };
 
 }  // namespace
+
+Solve3dPlan make_solve3d_plan(const BlockStructure& bs,
+                              const ForestPartition& part, int Px, int Py,
+                              int rank) {
+  SLU3D_CHECK(Px > 0 && Py > 0 && rank >= 0 && rank < Px * Py * part.Pz(),
+              "bad rank for the solve plan");
+  const int pz = rank / (Px * Py), px = rank / Py % Px, py = rank % Py;
+  auto world_of = [&](int z, int x, int y) { return z * Px * Py + x * Py + y; };
+  auto owner = [&](int s) {
+    return world_of(part.anchor_of(s), s % Px, s % Py);
+  };
+  const auto nsn = static_cast<std::size_t>(bs.n_snodes());
+  Solve3dPlan plan;
+  plan.fwd_count.assign(nsn, 0);
+  plan.bwd_count.assign(nsn, 0);
+  plan.fwd_sources.resize(nsn);
+  plan.bwd_sources.resize(nsn);
+  for (int c = 0; c < bs.n_snodes(); ++c)
+    for (const PanelBlock& blk : bs.lpanel(c)) {
+      const int a = blk.snode;
+      const auto ua = static_cast<std::size_t>(a);
+      const auto uc = static_cast<std::size_t>(c);
+      // The products this rank's sweeps form: L(a, c) in the forward step
+      // of a non-empty c, from c's owned L blocks on its anchor grid; U(c, a)
+      // in the backward step of a, on every grid of a's group, for
+      // descendants c anchored there.
+      if (bs.snode_size(c) > 0 && part.anchor_of(c) == pz && a % Px == px &&
+          c % Py == py)
+        ++plan.fwd_count[ua];
+      if (part.on_grid(a, pz) && part.anchor_of(c) == pz && c % Px == px &&
+          a % Py == py)
+        ++plan.bwd_count[uc];
+      // Where the owners expect them: L(a, c) at (anchor(c), a%Px, c%Py),
+      // U(c, a) at (anchor(c), c%Px, a%Py).
+      if (owner(a) == rank) {
+        const int src = world_of(part.anchor_of(c), a % Px, c % Py);
+        if (src != rank) plan.fwd_sources[ua].push_back(src);
+      }
+      if (owner(c) == rank) {
+        const int src = world_of(part.anchor_of(c), c % Px, a % Py);
+        if (src != rank) plan.bwd_sources[uc].push_back(src);
+      }
+    }
+  for (auto* lists : {&plan.fwd_sources, &plan.bwd_sources})
+    for (auto& l : *lists) {
+      std::sort(l.begin(), l.end());
+      l.erase(std::unique(l.begin(), l.end()), l.end());
+    }
+  return plan;
+}
 
 int solve3d_tag_span(const BlockStructure& bs) {
   // ftag/btag use n_snodes tags each, gtag one more at 3*n_snodes; the

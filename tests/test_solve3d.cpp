@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "lu3d/solve3d.hpp"
 #include "order/nested_dissection.hpp"
@@ -53,6 +54,51 @@ void check_3d_pipeline(const CsrMatrix& A, const SeparatorTree& tree, int Px,
   }
 }
 
+/// World rank of plane position (px, py) on grid pz.
+int world_of(int Px, int Py, int pz, int px, int py) {
+  return pz * Px * Py + px * Py + py;
+}
+
+/// Host-side audit of the lsum schedule: every block product is formed by
+/// exactly one rank, and for every target the diagonal owner waits for
+/// exactly the other ranks that form a product for it — a mismatch would
+/// leave a rank blocked forever (simmpi has no deadlock detection).
+void audit_lsum_plan(const BlockStructure& bs, const ForestPartition& part,
+                     int Px, int Py) {
+  const int P = Px * Py * part.Pz();
+  std::vector<Solve3dPlan> plans;
+  for (int r = 0; r < P; ++r)
+    plans.push_back(make_solve3d_plan(bs, part, Px, Py, r));
+
+  std::vector<int> l_blocks(static_cast<std::size_t>(bs.n_snodes()), 0);
+  for (int c = 0; c < bs.n_snodes(); ++c)
+    for (const PanelBlock& blk : bs.lpanel(c))
+      ++l_blocks[static_cast<std::size_t>(blk.snode)];
+
+  for (int t = 0; t < bs.n_snodes(); ++t) {
+    const auto ut = static_cast<std::size_t>(t);
+    const int owner = world_of(Px, Py, part.anchor_of(t), t % Px, t % Py);
+    std::vector<int> fwd, bwd;
+    int fwd_total = 0, bwd_total = 0;
+    for (int r = 0; r < P; ++r) {
+      const Solve3dPlan& pl = plans[static_cast<std::size_t>(r)];
+      fwd_total += pl.fwd_count[ut];
+      bwd_total += pl.bwd_count[ut];
+      if (r == owner) continue;
+      if (pl.fwd_count[ut] > 0) fwd.push_back(r);
+      if (pl.bwd_count[ut] > 0) bwd.push_back(r);
+      EXPECT_TRUE(pl.fwd_sources[ut].empty() && pl.bwd_sources[ut].empty())
+          << "rank " << r << " is not the owner of target " << t;
+    }
+    const Solve3dPlan& own = plans[static_cast<std::size_t>(owner)];
+    EXPECT_EQ(own.fwd_sources[ut], fwd) << "forward target " << t;
+    EXPECT_EQ(own.bwd_sources[ut], bwd) << "backward target " << t;
+    EXPECT_EQ(fwd_total, l_blocks[ut]) << "forward target " << t;
+    EXPECT_EQ(bwd_total, static_cast<int>(bs.lpanel(t).size()))
+        << "backward target " << t;
+  }
+}
+
 struct Grid3dCase {
   int Px, Py, Pz;
 };
@@ -64,6 +110,14 @@ TEST_P(Solve3dGrids, SolvesPlanarSystemEndToEnd) {
   const GridGeometry g{11, 12, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   check_3d_pipeline(A, geometric_nd(g, {.leaf_size = 8}), Px, Py, Pz);
+}
+
+TEST_P(Solve3dGrids, LsumPlanMatchesOwnersSources) {
+  const auto [Px, Py, Pz] = GetParam();
+  const GridGeometry g{11, 12, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  const BlockStructure bs(A, geometric_nd(g, {.leaf_size = 8}));
+  audit_lsum_plan(bs, ForestPartition(bs, Pz), Px, Py);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -89,9 +143,9 @@ TEST(Solve3d, NonsymmetricValues) {
   check_3d_pipeline(A, nested_dissection(A, {.leaf_size = 8}), 2, 1, 2);
 }
 
-TEST(Solve3d, GeneralNdWithEmptySeparators) {
-  // Disconnected components produce empty separator supernodes; the solve
-  // must skip them cleanly.
+/// Two disconnected 25-vertex chains: general ND on them produces empty
+/// separator supernodes.
+CsrMatrix two_chains() {
   CooMatrix coo(50, 50);
   for (index_t comp = 0; comp < 2; ++comp) {
     const index_t off = comp * 25;
@@ -101,8 +155,95 @@ TEST(Solve3d, GeneralNdWithEmptySeparators) {
     }
   }
   for (index_t i = 0; i < 50; ++i) coo.add(i, i, 4.0);
-  const CsrMatrix A = CsrMatrix::from_coo(coo);
+  return CsrMatrix::from_coo(coo);
+}
+
+TEST(Solve3d, GeneralNdWithEmptySeparators) {
+  // The solve must skip the empty separator supernodes cleanly.
+  const CsrMatrix A = two_chains();
   check_3d_pipeline(A, nested_dissection(A, {.leaf_size = 4}), 1, 2, 2);
+}
+
+TEST(Solve3d, LsumPlanMatchesOwnersSourcesOn2x1x2AndEmptySeparators) {
+  {
+    const GridGeometry g{9, 7, 1};
+    const CsrMatrix A = grid2d_convection_diffusion(g, 0.5);
+    const BlockStructure bs(A, nested_dissection(A, {.leaf_size = 8}));
+    audit_lsum_plan(bs, ForestPartition(bs, 2), 2, 1);
+  }
+  const CsrMatrix A = two_chains();
+  const BlockStructure bs(A, nested_dissection(A, {.leaf_size = 4}));
+  audit_lsum_plan(bs, ForestPartition(bs, 2), 1, 2);
+}
+
+TEST(Solve3d, LsumSendsOneMessagePerRemoteSourceAndNoneToSelf) {
+  // On the benchmark's 2x1x2 shape, a solve sends one contribution message
+  // per (target, remote rank holding one of its blocks) and none to
+  // itself. Everything else the solve sends is a binomial-tree collective
+  // (size - 1 messages each), counted here from the schedule.
+  const GridGeometry g{11, 12, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
+  const BlockStructure bs(A, tree);
+  const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const int Px = 2, Py = 1, Pz = 2, P = Px * Py * Pz;
+  const ForestPartition part(bs, Pz);
+
+  offset_t contributions = 0, collectives = 3 * (P - 1);  // final allgatherv
+  for (int t = 0; t < bs.n_snodes(); ++t) {
+    const int owner = world_of(Px, Py, part.anchor_of(t), t % Px, t % Py);
+    std::set<int> fwd, bwd;
+    // L(t, c) lives at (anchor(c), t%Px, c%Py); U(t, a) at
+    // (anchor(t), t%Px, a%Py).
+    for (int c = 0; c < t; ++c)
+      for (const PanelBlock& blk : bs.lpanel(c))
+        if (blk.snode == t)
+          fwd.insert(world_of(Px, Py, part.anchor_of(c), t % Px, c % Py));
+    for (const PanelBlock& blk : bs.lpanel(t))
+      bwd.insert(world_of(Px, Py, part.anchor_of(t), t % Px, blk.snode % Py));
+    fwd.erase(owner);
+    bwd.erase(owner);
+    contributions += static_cast<offset_t>(fwd.size() + bwd.size());
+    if (bs.snode_size(t) == 0) continue;
+    // Forward: y_t down the anchor grid's process column. Backward: x_t
+    // along z over t's replication group, then down each grid's column.
+    const int group = part.group_size(t);
+    collectives += (Px - 1) + (group - 1) + group * (Px - 1);
+  }
+  ASSERT_GT(contributions, 0);
+
+  std::vector<real_t> B(static_cast<std::size_t>(A.n_rows()), 1.0);
+  std::vector<offset_t> msgs(static_cast<std::size_t>(P), 0);
+  std::vector<double> solve_start(static_cast<std::size_t>(P), 0.0);
+  sim::RunOptions ropt;
+  ropt.trace = true;
+  const sim::RunResult res = run_ranks(
+      P, kModel,
+      [&](sim::Comm& world) {
+        auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
+        Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+        factorize_3d(F, grid, part, {});
+        const auto r = static_cast<std::size_t>(world.rank());
+        const sim::RankStats pre = world.stats();
+        solve_start[r] = world.clock();
+        std::vector<real_t> x(B);
+        solve_3d(F, world, grid, part, x);
+        const sim::RankStats post = world.stats();
+        msgs[r] = post.messages_sent[0] + post.messages_sent[1] -
+                  pre.messages_sent[0] - pre.messages_sent[1];
+      },
+      ropt);
+
+  offset_t total = 0;
+  for (offset_t m : msgs) total += m;
+  EXPECT_EQ(total, contributions + collectives);
+  // The solve's sends are the trace's Send events from its start clock on.
+  int self_sends = 0;
+  for (int r = 0; r < P; ++r)
+    for (const sim::TraceEvent& ev : res.traces[static_cast<std::size_t>(r)])
+      self_sends += ev.kind == sim::TraceEvent::Kind::Send && ev.peer == r &&
+                    ev.t0 >= solve_start[static_cast<std::size_t>(r)];
+  EXPECT_EQ(self_sends, 0);
 }
 
 TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {

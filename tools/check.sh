@@ -29,9 +29,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # pool beneath every rank. The Fleet suite rides along so the sharded
 # front end (coalesced batch dispatch, cache-warm migration) also runs
 # every sanitizer leg with SLU3D_THREADS=4 pools under the shards.
+# Solve3d puts the 3D solve's buffered, out-of-order local-sum sends under
+# both sanitizers.
 REQUIRED_SUITES=(CommEquivalence ThreadPool Funneled Determinism Rma
                  RandomTargetedDeliveryFuzz Fleet PlatformRuntime
-                 DistAnalysis)
+                 DistAnalysis Solve3d)
 
 require_suites() {
   local dir="$1" list
