@@ -33,19 +33,17 @@ struct DistMetrics {
   offset_t w_red = 0;
   offset_t mem_total = 0;
   offset_t mem_max = 0;
-  /// Sparse z-reduction savings (zero under ZRedPacking::Dense): W_red
-  /// bytes avoided across all ranks, blocks skipped / considered, and the
-  /// actual total bytes sent along Z (so saved / (saved + sent) is the
-  /// fraction of dense-equivalent reduction volume eliminated).
+  /// Targeted z-reduction savings (zero under ZRedPacking::Dense): W_red
+  /// bytes avoided across all ranks and the actual total bytes sent along
+  /// Z (so saved / (saved + sent) is the fraction of dense-equivalent
+  /// reduction volume eliminated, fig10's Zsaved column).
   offset_t zred_saved = 0;
-  offset_t zred_blocks_skipped = 0;
-  offset_t zred_blocks_total = 0;
   offset_t z_bytes_sent = 0;
-  /// Sparse panel-packing savings (zero under PanelPacking::Dense): root
-  /// payload bytes the XY panel broadcasts avoided (net of bitmap frames),
-  /// the dense-equivalent payload those broadcasts would have carried, and
-  /// the all-zero per-entry data messages elided entirely. saved / dense
-  /// is the fraction of panel payload eliminated (fig10's Psaved column).
+  /// Targeted panel savings (zero under PanelPacking::Dense): XY panel
+  /// bytes the footprint puts avoided (net of bitmap words), the
+  /// dense-equivalent payload the broadcasts would have carried, and the
+  /// dense per-entry messages no put replaced. saved / dense is the
+  /// fraction of panel payload eliminated (fig10's Psaved column).
   offset_t panel_saved = 0;
   offset_t panel_dense = 0;
   offset_t panel_saved_msgs = 0;
@@ -77,40 +75,29 @@ inline int bench_threads(int argc, char** argv) {
   return threads;
 }
 
-/// Wire-format selection shared by the bench drivers: `--panel-packing` and
-/// `--zred-packing`, each accepting dense | sparse | targeted (both the
-/// separate-argument and `=value` spellings). Drivers pass their own
-/// defaults, so e.g. fig9 keeps measuring sparse savings when no flag is
-/// given while a one-flag rerun measures the targeted one-sided wire.
+/// Wire-format selection for the service bench: `--panel-packing` and
+/// `--zred-packing`, each accepting dense | targeted (both the
+/// separate-argument and `=value` spellings); Dense when absent.
 struct PackingFlags {
   pipeline::PanelPacking panel = pipeline::PanelPacking::Dense;
   pipeline::ZRedPacking zred = pipeline::ZRedPacking::Dense;
 };
 
-inline PackingFlags parse_packing_flags(
-    int argc, char** argv,
-    pipeline::PanelPacking def_panel = pipeline::PanelPacking::Dense,
-    pipeline::ZRedPacking def_zred = pipeline::ZRedPacking::Dense) {
-  PackingFlags f{def_panel, def_zred};
-  auto parse = [](const char* v, const char* flag) -> int {
-    if (std::strcmp(v, "dense") == 0) return 0;
-    if (std::strcmp(v, "sparse") == 0) return 1;
-    if (std::strcmp(v, "targeted") == 0) return 2;
-    std::fprintf(stderr, "%s: expected dense|sparse|targeted, got '%s'\n",
-                 flag, v);
+inline PackingFlags parse_packing_flags(int argc, char** argv) {
+  PackingFlags f;
+  auto targeted = [](const char* v, const char* flag) {
+    if (std::strcmp(v, "dense") == 0) return false;
+    if (std::strcmp(v, "targeted") == 0) return true;
+    std::fprintf(stderr, "%s: expected dense|targeted, got '%s'\n", flag, v);
     std::exit(2);
   };
   auto set_panel = [&](const char* v) {
-    const int k = parse(v, "--panel-packing");
-    f.panel = k == 0   ? pipeline::PanelPacking::Dense
-              : k == 1 ? pipeline::PanelPacking::Sparse
-                       : pipeline::PanelPacking::Targeted;
+    f.panel = targeted(v, "--panel-packing") ? pipeline::PanelPacking::Targeted
+                                             : pipeline::PanelPacking::Dense;
   };
   auto set_zred = [&](const char* v) {
-    const int k = parse(v, "--zred-packing");
-    f.zred = k == 0   ? pipeline::ZRedPacking::Dense
-             : k == 1 ? pipeline::ZRedPacking::Sparse
-                      : pipeline::ZRedPacking::Targeted;
+    f.zred = targeted(v, "--zred-packing") ? pipeline::ZRedPacking::Targeted
+                                           : pipeline::ZRedPacking::Dense;
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -248,8 +235,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
   m.w_fact = res.max_bytes_received(sim::CommPlane::XY);
   m.w_red = res.max_bytes_received(sim::CommPlane::Z);
   m.zred_saved = res.total_zred_bytes_saved();
-  m.zred_blocks_skipped = res.total_zred_blocks_skipped();
-  m.zred_blocks_total = res.total_zred_blocks_total();
   m.z_bytes_sent = res.total_bytes_sent(sim::CommPlane::Z);
   m.panel_saved = res.total_panel_saved_bytes();
   m.panel_dense = res.total_panel_dense_bytes();

@@ -9,12 +9,6 @@
 int main(int argc, char** argv) {
   using namespace slu3d;
   bench::bench_platform(argc, argv);
-  // --panel-packing / --zred-packing swap the wire formats of the Zsaved /
-  // Psaved columns (default: sparse presence-bitmap packing on both); the
-  // Tsaved columns always measure the targeted one-sided wire.
-  const auto pk = bench::parse_packing_flags(argc, argv,
-                                             pipeline::PanelPacking::Sparse,
-                                             pipeline::ZRedPacking::Sparse);
   const auto suite = paper_test_suite(bench::bench_scale());
 
   for (const auto& t : suite) {
@@ -25,28 +19,19 @@ int main(int argc, char** argv) {
 
     std::cout << "\n=== " << t.name << " (" << (t.planar ? "planar" : "non-planar")
               << ") ===\n";
-    // Dense columns reproduce the paper's W_fact/W_red; the Zsaved columns
-    // re-run the reduction with the selected zred packing (sparse by
-    // default), the Psaved columns the XY panel broadcasts with the
-    // selected panel packing, and the Tsaved columns re-run both planes
-    // with the targeted one-sided wire (footprint puts on XY, scatter-
-    // accumulate along Z) and report the volume each format eliminates
-    // (numerics unchanged every way — see tests/test_comm_equivalence.cpp).
+    // Dense columns reproduce the paper's W_fact/W_red; the Zsaved and
+    // Psaved columns come from one re-run with the targeted one-sided wire
+    // on both planes (footprint puts on XY, scatter-accumulate along Z) and
+    // report the volume it eliminates (numerics unchanged — see
+    // tests/test_comm_equivalence.cpp), beside that run's own time.
     TextTable table({"P", "Pz", "W_fact(B)", "W_red(B)", "W_total(B)",
                      "vs 2D", "Zsaved(B)", "Zsaved(%)", "Psaved(B)",
-                     "Psaved(%)", "Tsaved(B)", "Tsaved(%)", "TZsaved(%)"});
+                     "Psaved(%)", "Ttg/T"});
     for (int P : {64, 128}) {
       offset_t w2d = 0;
       for (int Pz : {1, 2, 4, 8, 16}) {
         const auto [Px, Py] = bench::square_ish(P / Pz);
         const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz);
-        const auto sp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                           PartitionStrategy::Greedy,
-                                           pk.zred);
-        const auto pp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                           PartitionStrategy::Greedy,
-                                           pipeline::ZRedPacking::Dense,
-                                           pk.panel);
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
                                            pipeline::ZRedPacking::Targeted,
@@ -58,22 +43,18 @@ int main(int argc, char** argv) {
                                     static_cast<double>(dense_eq)
                               : 0.0;
         };
-        const offset_t zdense = sp.z_bytes_sent + sp.zred_saved;
-        const offset_t tzdense = tg.z_bytes_sent + tg.zred_saved;
+        const offset_t zdense = tg.z_bytes_sent + tg.zred_saved;
         table.add_row({std::to_string(P), std::to_string(Pz),
                        std::to_string(m.w_fact), std::to_string(m.w_red),
                        std::to_string(total),
                        TextTable::num(static_cast<double>(w2d) /
                                       static_cast<double>(total), 2) + "x",
-                       std::to_string(sp.zred_saved),
-                       TextTable::num(pct(sp.zred_saved, zdense), 1) + "%",
-                       std::to_string(pp.panel_saved),
-                       TextTable::num(pct(pp.panel_saved, pp.panel_dense), 1) +
-                           "%",
+                       std::to_string(tg.zred_saved),
+                       TextTable::num(pct(tg.zred_saved, zdense), 1) + "%",
                        std::to_string(tg.panel_saved),
                        TextTable::num(pct(tg.panel_saved, tg.panel_dense), 1) +
                            "%",
-                       TextTable::num(pct(tg.zred_saved, tzdense), 1) + "%"});
+                       TextTable::num(tg.time / m.time, 2)});
       }
     }
     table.print(std::cout);

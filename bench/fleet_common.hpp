@@ -105,8 +105,8 @@ inline FleetTrace make_fleet_trace(const service::ServiceOptions& so,
   std::vector<std::uint64_t> version(base.size(), 0);
   std::map<std::pair<std::size_t, std::uint64_t>,
            std::shared_ptr<const CsrMatrix>>
-      snapshots;
-  for (std::size_t p = 0; p < base.size(); ++p) snapshots[{p, 0}] = base[p];
+      operators;
+  for (std::size_t p = 0; p < base.size(); ++p) operators[{p, 0}] = base[p];
 
   Rng rng(seed);
   double t = 0;
@@ -120,7 +120,7 @@ inline FleetTrace make_fleet_trace(const service::ServiceOptions& so,
                                                rng.next_index(4));
     if (rng.uniform(0, 1) < 0.30) ++version[p];  // fresh operator values
     const std::uint64_t v = version[p];
-    auto& snap = snapshots[{p, v}];
+    auto& snap = operators[{p, v}];
     if (!snap)
       snap = std::make_shared<CsrMatrix>(fleet_rescaled(
           *base[p], static_cast<real_t>(1.0 + 0.01 * static_cast<double>(v))));

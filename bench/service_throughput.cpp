@@ -10,7 +10,8 @@
 //   --coalesce-window W   batch window, in probe service times (default 1)
 //   --queue-depth N       per-shard admission bound (default 16)
 //   --seed N              traffic trace seed (default 2026)
-//   --panel-packing / --zred-packing   wire formats the shards factor with
+//   --panel-packing / --zred-packing   dense|targeted wire formats the
+//                         shards factor with (default dense)
 //   --cold-only [--out F] skip the traffic replay; sweep the cold-start
 //                         (cache-miss) critical path over shards x P x
 //                         analysis mode and write the CSV (default

@@ -15,7 +15,7 @@
 namespace slu3d {
 
 /// 3D driver options: the shared z-reduction knobs (async overlap,
-/// chunk_snodes, Dense/Sparse packing — see pipeline::ZRedOptions) plus
+/// chunk_snodes, Dense/Targeted packing — see pipeline::ZRedOptions) plus
 /// the 2D panel-pipeline options applied at every forest level.
 struct Lu3dOptions : pipeline::ZRedOptions {
   Lu2dOptions lu2d;

@@ -1,5 +1,6 @@
 #include "numeric/factor_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 
@@ -33,13 +34,28 @@ void put_vec(std::ostream& os, std::span<const T> v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Elements read per step by get_vec: 1 MiB of payload.
+template <typename T>
+constexpr std::uint64_t kReadChunk = (std::uint64_t{1} << 20) / sizeof(T);
+
+/// Reads a length-prefixed vector. The claimed length is untrusted, so the
+/// vector grows one bounded chunk at a time as the bytes actually arrive: a
+/// length larger than the rest of the stream fails as a truncation while
+/// the allocation is still proportional to the bytes actually read.
 template <typename T>
 std::vector<T> get_vec(std::istream& is) {
   const auto n = get<std::uint64_t>(is);
-  std::vector<T> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  SLU3D_CHECK(static_cast<bool>(is), "truncated binary stream");
+  std::vector<T> v;
+  SLU3D_CHECK(n <= v.max_size(), "binary stream: vector length out of range");
+  while (v.size() < n) {
+    const std::size_t have = v.size();
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kReadChunk<T>, n - have));
+    v.resize(have + take);
+    is.read(reinterpret_cast<char*>(v.data() + have),
+            static_cast<std::streamsize>(take * sizeof(T)));
+    SLU3D_CHECK(static_cast<bool>(is), "truncated binary stream");
+  }
   return v;
 }
 
@@ -120,9 +136,13 @@ SeparatorTree read_tree_binary(std::istream& is) {
   SLU3D_CHECK(get<std::uint64_t>(is) == kTreeMagic, "not a tree binary stream");
   auto perm = get_vec<index_t>(is);
   const auto n_nodes = get<std::int64_t>(is);
+  SLU3D_CHECK(n_nodes >= 0, "tree binary stream: negative node count");
   const auto root = static_cast<int>(get<std::int64_t>(is));
+  // The node count is untrusted: reserve at most one read chunk up front
+  // and let a truncated stream fail in get() before the vector grows far.
   std::vector<SepTreeNode> nodes;
-  nodes.reserve(static_cast<std::size_t>(n_nodes));
+  nodes.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(n_nodes), kReadChunk<SepTreeNode>)));
   for (std::int64_t i = 0; i < n_nodes; ++i) {
     SepTreeNode nd;
     nd.subtree_first = static_cast<index_t>(get<std::int64_t>(is));

@@ -1,10 +1,10 @@
 // Factors-access traits: a uniform block enumeration over the two
 // distributed factor containers (Dist2dFactors, DistCholFactors), so the
-// z-axis ancestor-reduction engine can pack, add, and bitmap supernode
-// payloads without knowing which variant it is moving. The enumeration
-// order IS the wire format: diag (if owned), then L blocks ascending, then
-// (LU only) U blocks ascending — exactly the order the historical
-// pack_snode/add_snode pairs used, so dense-mode streams are byte-identical.
+// z-axis ancestor-reduction engine can pack and add supernode payloads
+// without knowing which variant it is moving. The enumeration order IS the
+// wire format: diag (if owned), then L blocks ascending, then (LU only) U
+// blocks ascending — exactly the order the historical pack_snode/add_snode
+// pairs used, so dense-mode streams are byte-identical.
 //
 // Each visited block is described by (span, tri_n): tri_n == 0 means the
 // whole span travels verbatim; tri_n == n means the span is an n x n

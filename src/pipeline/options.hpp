@@ -15,32 +15,23 @@ namespace slu3d::pipeline {
 /// How the 2D panel-broadcast payloads are packed on the wire.
 enum class PanelPacking {
   /// Panels travel as the full m x ns union blocks, zeros included — the
-  /// historical scheme, byte-identical to the golden fig9 counters.
+  /// paper's scheme, byte-identical to the golden fig9 counters, and the
+  /// bitwise oracle for Targeted.
   Dense,
-  /// Each panel role prepends one presence-bitmap frame (1 bit per scalar)
-  /// to the supernode's broadcasts and ships only the present scalars;
-  /// blocks whose payload is entirely zero send no data message at all.
-  /// Ancestor union blocks are ragged (per-column symbolic patterns inside
-  /// the dense m x ns rectangle), so 10-25% of the dense panel payload is
-  /// zero scalars even though whole blocks are almost never zero. Factors
-  /// stay bitwise identical; savings are reported in RankStats::panel_*
-  /// (see comm_stats.hpp). The Cholesky transposed (column) role stays
-  /// dense — its presence bits live on ranks outside the broadcast column.
-  Sparse,
   /// One-sided delivery over simmpi RMA windows: the data root computes
   /// each receiver's block footprint from the symbolic structure (which
   /// entries that receiver's Schur pairs actually read) and issues one
   /// footprint-sized put per receiver — bitmap words + present scalars of
-  /// exactly the needed entries, nothing else. Receivers whose footprint
-  /// is empty get no data message at all (both sides agree symbolically,
-  /// so no handshake is needed). Strictly less volume than Sparse: the
-  /// collective broadcast is replaced by per-destination payloads, and a
-  /// receiver no longer pays for entries it never reads. Factors stay
-  /// bitwise identical (the footprint covers every pair-referenced entry,
-  /// so charged flops and FP order match Dense); savings land in the same
-  /// RankStats::panel_* counters with an exact accounting identity:
-  /// dense_equivalent - received == saved. The Cholesky transposed
-  /// (column) role stays a dense relay, as under Sparse.
+  /// exactly the needed entries, nothing else. Ancestor union blocks are
+  /// ragged (per-column symbolic patterns inside the dense m x ns
+  /// rectangle), so the bitmap elides zero scalars even inside touched
+  /// blocks. Receivers whose footprint is empty get no data message at
+  /// all (both sides agree symbolically, so no handshake is needed).
+  /// Factors stay bitwise identical (the footprint covers every
+  /// pair-referenced entry, so charged flops and FP order match Dense);
+  /// savings land in RankStats::panel_* (see comm_stats.hpp) with an exact
+  /// accounting identity: dense_equivalent - received == saved. The
+  /// Cholesky transposed (column) role stays a dense relay.
   Targeted,
 };
 
@@ -67,7 +58,7 @@ struct PanelOptions {
   /// trees); only the simulated critical path changes.
   bool async = true;
   /// Wire format of the panel broadcasts; Dense is byte-identical to the
-  /// historical drivers, Sparse is the opt-in volume optimization.
+  /// historical drivers, Targeted is the opt-in volume optimization.
   PanelPacking packing = PanelPacking::Dense;
   /// Per-rank compute participants (caller thread + pool workers) for the
   /// dense kernels and the Schur scatter. 0 (the default) defers to the
@@ -83,22 +74,17 @@ struct PanelOptions {
 /// How the z-axis ancestor-reduction payloads are packed on the wire.
 enum class ZRedPacking {
   /// Every allocated ancestor block travels, zeros included — the paper's
-  /// scheme, byte-identical to the historical drivers.
+  /// scheme, byte-identical to the historical drivers, and the bitwise
+  /// oracle for Targeted.
   Dense,
-  /// Each chunk carries a per-block presence bitmap and omits blocks whose
-  /// local accumulation is still entirely zero (common for ancestors a
-  /// subtree never touched). Numerically identical — skipped blocks
-  /// contribute nothing — but the reduction volume W_red shrinks. Savings
-  /// are reported in RankStats::zred_* (see comm_stats.hpp).
-  Sparse,
   /// One-sided delivery: ancestor contributions are scatter_accumulate'd
   /// into an RMA window over the owner's receive staging instead of being
   /// exchanged pairwise — a scalar-granularity presence bitmap plus the
-  /// nonzero scalars travel, so raggedness *inside* locally-touched blocks
-  /// is elided too (Sparse only skips whole all-zero blocks). Numerically
+  /// nonzero scalars travel, so blocks a subtree never touched and the
+  /// raggedness inside touched blocks are both elided. Numerically
   /// identical: the owner adds the staged dense stream in the same order
-  /// as Dense. Savings land in the same RankStats::zred_* counters and
-  /// reconcile byte-exactly: received + zred_saved == dense received.
+  /// as Dense. Savings land in RankStats::zred_bytes_saved and reconcile
+  /// byte-exactly: received + zred_bytes_saved == dense received.
   Targeted,
 };
 
@@ -116,7 +102,7 @@ struct ZRedOptions {
   /// false (the blocking path always sends one message per level).
   int chunk_snodes = 1;
   /// Wire format of the reduction payloads; Dense is byte-identical to the
-  /// historical drivers, Sparse is the opt-in volume optimization.
+  /// historical drivers, Targeted is the opt-in volume optimization.
   ZRedPacking packing = ZRedPacking::Dense;
 };
 
@@ -129,7 +115,6 @@ inline void validate_panel_options(const PanelOptions& opt) {
               "(kMaxPanelLookahead)");
   SLU3D_CHECK(opt.tag_base >= 0, "pipeline: tag_base must be non-negative");
   SLU3D_CHECK(opt.packing == PanelPacking::Dense ||
-                  opt.packing == PanelPacking::Sparse ||
                   opt.packing == PanelPacking::Targeted,
               "pipeline: unknown PanelPacking value");
   SLU3D_CHECK(opt.threads >= 0,
@@ -141,7 +126,6 @@ inline void validate_zred_options(const ZRedOptions& opt) {
   SLU3D_CHECK(opt.chunk_snodes > 0,
               "pipeline: reduction chunk size (chunk_snodes) must be positive");
   SLU3D_CHECK(opt.packing == ZRedPacking::Dense ||
-                  opt.packing == ZRedPacking::Sparse ||
                   opt.packing == ZRedPacking::Targeted,
               "pipeline: unknown ZRedPacking value");
 }

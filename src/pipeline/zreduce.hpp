@@ -11,12 +11,6 @@
 // Wire formats (see pipeline/factors_access.hpp for block enumeration):
 //   Dense:  every allocated block of each ancestor travels verbatim —
 //           byte-identical to the historical factor3d/factor3d_chol pair.
-//   Sparse: each ancestor is framed as ceil(n_blocks/64) bitmap words
-//           (uint64 bit i = block i present, bit_cast into real_t) followed
-//           by only the blocks whose local accumulation holds any nonzero.
-//           Blocks a subtree never touched are omitted; the receiver skips
-//           them symmetrically by reading the bitmap. Savings are recorded
-//           in the sender's RankStats::zred_* counters.
 //
 // A chunk whose *dense* packed size is zero is skipped without a message in
 // async mode — sender and receiver compute that size independently from
@@ -31,126 +25,26 @@
 //           always compute). The sender scatter-accumulates each chunk's
 //           dense stream — a scalar-granularity presence bitmap plus the
 //           nonzero scalars — into the receiver's zeroed staging region at
-//           the chunk's dense offset, so raggedness *inside* touched
-//           blocks is elided too (Sparse only skips whole all-zero
-//           blocks). The receiver registers each chunk with
-//           Window::expect and, at the drain, waits the delivery and
-//           accumulates the staged dense stream in the same order as
-//           Dense — numerically identical. Savings reconcile byte-exactly
-//           against the dense wire: received + zred_bytes_saved == dense.
+//           the chunk's dense offset, so untouched blocks and raggedness
+//           inside touched blocks are both elided. The receiver registers
+//           each chunk with Window::expect and, at the drain, waits the
+//           delivery and accumulates the staged dense stream in the same
+//           order as Dense — numerically identical. Savings reconcile
+//           byte-exactly against the dense wire: received +
+//           zred_bytes_saved == dense.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "lu3d/forest_partition.hpp"
-#include "numeric/dense_kernels.hpp"
 #include "pipeline/factors_access.hpp"
 #include "pipeline/options.hpp"
 #include "simmpi/process_grid.hpp"
 #include "support/check.hpp"
 
 namespace slu3d::pipeline {
-
-/// True if the packed region of a (span, tri_n) block is entirely zero.
-inline bool block_all_zero(std::span<const real_t> blk, index_t tri) {
-  if (tri == 0) return dense::all_zero(blk.data(), blk.size());
-  for (index_t c = 0; c < tri; ++c)
-    if (!dense::all_zero(blk.data() + static_cast<std::size_t>(c * tri + c),
-                         static_cast<std::size_t>(tri - c)))
-      return false;
-  return true;
-}
-
-namespace detail {
-
-/// Appends one block's packed elements (shared by dense and sparse packing).
-template <class Span>
-void pack_block(Span blk, index_t tri, std::vector<real_t>& out) {
-  if (tri == 0) {
-    out.insert(out.end(), blk.begin(), blk.end());
-    return;
-  }
-  for (index_t c = 0; c < tri; ++c)
-    for (index_t r = c; r < tri; ++r)
-      out.push_back(blk[static_cast<std::size_t>(r + c * tri)]);
-}
-
-/// Accumulates one block's packed elements from buf at pos; returns the
-/// advanced position.
-inline std::size_t add_block(std::span<real_t> blk, index_t tri,
-                             std::span<const real_t> buf, std::size_t pos) {
-  const std::size_t len = block_packed_elems(blk.size(), tri);
-  SLU3D_CHECK(pos + len <= buf.size(), "reduction stream underflow");
-  if (tri == 0) {
-    for (std::size_t i = 0; i < len; ++i) blk[i] += buf[pos + i];
-    return pos + len;
-  }
-  for (index_t c = 0; c < tri; ++c)
-    for (index_t r = c; r < tri; ++r)
-      blk[static_cast<std::size_t>(r + c * tri)] += buf[pos++];
-  return pos;
-}
-
-template <class Access, class F>
-std::size_t count_blocks(F& f, int s) {
-  std::size_t n = 0;
-  Access::for_each_block(f, s, [&](auto, index_t) { ++n; });
-  return n;
-}
-
-}  // namespace detail
-
-/// Sparse-packs supernode s: presence bitmap words, then present blocks.
-/// Sender-side savings are recorded into `st`.
-template <class Access, class F>
-void pack_snode_sparse(F& f, int s, std::vector<real_t>& out,
-                       sim::RankStats& st) {
-  const std::size_t nb = detail::count_blocks<Access>(f, s);
-  if (nb == 0) return;
-  const std::size_t words = (nb + 63) / 64;
-  const std::size_t base = out.size();
-  out.resize(base + words, 0.0);
-  std::uint64_t bits[64] = {};  // enough for 4096 blocks per supernode
-  SLU3D_CHECK(words <= 64, "supernode has too many blocks for sparse packing");
-  std::size_t i = 0;
-  Access::for_each_block(f, s, [&](auto blk, index_t tri) {
-    st.zred_blocks_total += 1;
-    if (block_all_zero(blk, tri)) {
-      st.zred_blocks_skipped += 1;
-    } else {
-      bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-      detail::pack_block(blk, tri, out);
-    }
-    ++i;
-  });
-  for (std::size_t w = 0; w < words; ++w)
-    out[base + w] = std::bit_cast<real_t>(bits[w]);
-}
-
-/// Mirror of pack_snode_sparse: reads the bitmap, accumulates only the
-/// blocks the sender included.
-template <class Access>
-std::size_t add_snode_sparse(typename Access::Factors& f, int s,
-                             std::span<const real_t> buf, std::size_t pos) {
-  const std::size_t nb = detail::count_blocks<Access>(f, s);
-  if (nb == 0) return pos;
-  const std::size_t words = (nb + 63) / 64;
-  SLU3D_CHECK(pos + words <= buf.size(),
-              "sparse reduction stream underflow (bitmap)");
-  const std::size_t bmp = pos;
-  pos += words;
-  std::size_t i = 0;
-  Access::for_each_block(f, s, [&](std::span<real_t> blk, index_t tri) {
-    const auto word = std::bit_cast<std::uint64_t>(buf[bmp + (i >> 6)]);
-    const bool present = (word >> (i & 63)) & 1;
-    ++i;
-    if (present) pos = detail::add_block(blk, tri, buf, pos);
-  });
-  return pos;
-}
 
 /// Runs Algorithm 1's level loop: per-level 2D factorization (injected) +
 /// pairwise z-axis ancestor reduction. Collective over the 3D grid.
@@ -163,7 +57,6 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
   const BlockStructure& bs = F.structure();
   const int l = part.n_levels() - 1;
   const int pz = grid.pz();
-  const bool sparse = opt.packing == ZRedPacking::Sparse;
   const bool targeted = opt.packing == ZRedPacking::Targeted;
   const auto chunk = static_cast<std::size_t>(opt.chunk_snodes);
 
@@ -211,9 +104,7 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
   auto unpack_chunk = [&](std::span<const real_t> buf,
                           std::span<const int> snodes) {
     std::size_t pos = 0;
-    for (const int s : snodes)
-      pos = sparse ? add_snode_sparse<Access>(F, s, buf, pos)
-                   : add_snode<Access>(F, s, buf, pos);
+    for (const int s : snodes) pos = add_snode<Access>(F, s, buf, pos);
     SLU3D_CHECK(pos == buf.size(), "reduction chunk not fully consumed");
   };
   auto unpack_staged = [&](Pending& p) {
@@ -274,9 +165,9 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
     // Both sides partition the ancestor list into the same chunks and skip
     // structurally empty ones symmetrically (async mode only; the blocking
     // path always exchanges one message per level).
-    auto chunk_at = [&](std::size_t c0) {
+    auto chunk_at = [&](std::size_t c0, std::size_t len) {
       return std::span<const int>{ancestors}.subspan(
-          c0, std::min(chunk, ancestors.size() - c0));
+          c0, std::min(len, ancestors.size() - c0));
     };
     auto dense_elems_of = [&](std::span<const int> snodes) {
       std::size_t n = 0;
@@ -292,30 +183,22 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
         opt.async ? chunk : std::max<std::size_t>(ancestors.size(), 1);
 
     if (k % 2 == 1) {
-      sim::RankStats& st = grid.zline().stats();
       if (targeted) {
         // Everything received so far must be folded into the outgoing
         // contributions first.
         if (opt.async) drain([](int) { return false; });
+        sim::RankStats& st = grid.zline().stats();
         sim::Window& win = zwin[static_cast<std::size_t>(lvl)];
         std::vector<real_t> buf;
         std::vector<std::uint64_t> bits;
         std::vector<real_t> packed;
         std::size_t chunk_off = 0;
         for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += tchunk) {
-          const auto snodes = std::span<const int>{ancestors}.subspan(
-              c0, std::min(tchunk, ancestors.size() - c0));
+          const auto snodes = chunk_at(c0, tchunk);
           const std::size_t dense_len = dense_elems_of(snodes);
           if (dense_len == 0) continue;  // peer skips the matching expect
           buf.clear();
-          for (const int s : snodes) {
-            Access::for_each_block(F, s, [&](std::span<real_t> blk,
-                                             index_t tri) {
-              st.zred_blocks_total += 1;
-              if (block_all_zero(blk, tri)) st.zred_blocks_skipped += 1;
-            });
-            pack_snode<Access>(F, s, buf);
-          }
+          for (const int s : snodes) pack_snode<Access>(F, s, buf);
           bits.assign((dense_len + 63) / 64, 0);
           packed.clear();
           for (std::size_t i = 0; i < buf.size(); ++i)
@@ -336,37 +219,16 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
         drain([](int) { return false; });
         std::vector<real_t> buf;
         for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-          const auto snodes = chunk_at(c0);
-          const std::size_t dense_len = dense_elems_of(snodes);
-          if (dense_len == 0) continue;  // peer skips the matching irecv
+          const auto snodes = chunk_at(c0, chunk);
+          if (dense_elems_of(snodes) == 0) continue;  // peer skips the irecv
           buf.clear();
-          for (const int s : snodes) {
-            if (sparse)
-              pack_snode_sparse<Access>(F, s, buf, st);
-            else
-              pack_snode<Access>(F, s, buf);
-          }
-          if (sparse)
-            st.zred_bytes_saved +=
-                (static_cast<offset_t>(dense_len) -
-                 static_cast<offset_t>(buf.size())) *
-                static_cast<offset_t>(sizeof(real_t));
+          for (const int s : snodes) pack_snode<Access>(F, s, buf);
           grid.zline().isend(pz - step, reduce_tag_base + lvl, buf,
                              sim::CommPlane::Z);
         }
       } else {
         std::vector<real_t> buf;
-        const std::size_t dense_len = dense_elems_of(ancestors);
-        for (const int s : ancestors) {
-          if (sparse)
-            pack_snode_sparse<Access>(F, s, buf, st);
-          else
-            pack_snode<Access>(F, s, buf);
-        }
-        if (sparse)
-          st.zred_bytes_saved += (static_cast<offset_t>(dense_len) -
-                                  static_cast<offset_t>(buf.size())) *
-                                 static_cast<offset_t>(sizeof(real_t));
+        for (const int s : ancestors) pack_snode<Access>(F, s, buf);
         grid.zline().send(pz - step, reduce_tag_base + lvl, buf,
                           sim::CommPlane::Z);
       }
@@ -376,8 +238,7 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
         std::span<real_t> stage{zstage[static_cast<std::size_t>(lvl)]};
         std::size_t chunk_off = 0;
         for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += tchunk) {
-          const auto snodes = std::span<const int>{ancestors}.subspan(
-              c0, std::min(tchunk, ancestors.size() - c0));
+          const auto snodes = chunk_at(c0, tchunk);
           const std::size_t dense_len = dense_elems_of(snodes);
           if (dense_len == 0) continue;
           // Zero the landing region before registering the op — the
@@ -401,7 +262,7 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
         }
       } else if (opt.async) {
         for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-          const auto snodes = chunk_at(c0);
+          const auto snodes = chunk_at(c0, chunk);
           if (dense_elems_of(snodes) == 0) continue;
           Pending p;
           p.req = grid.zline().irecv(pz + step, reduce_tag_base + lvl,

@@ -343,7 +343,7 @@ std::vector<SolveReport> SolverService::run_solves(
             rq.b[r + static_cast<std::size_t>(j) * n];
   }
 
-  // Per-request, per-rank stat snapshots (deltas give the solve-phase
+  // Per-request, per-rank stat copies (deltas give the solve-phase
   // communication split of each request).
   std::vector<std::vector<sim::RankStats>> before(
       k, std::vector<sim::RankStats>(static_cast<std::size_t>(P)));

@@ -25,23 +25,21 @@ struct RankStats {
   std::array<double, kNumComputeKinds> compute_seconds{};
   std::array<offset_t, kNumComputeKinds> flops{};
   double clock = 0.0;  ///< final logical time of the rank
-  /// Sparse z-reduction accounting (sender side; zero unless
-  /// ZRedPacking::Sparse is enabled — see pipeline/options.hpp). `saved`
+  /// Targeted z-reduction accounting (sender side; zero unless
+  /// ZRedPacking::Targeted is enabled — see pipeline/options.hpp). `saved`
   /// is dense-equivalent bytes minus actual payload, bitmap overhead
   /// included, so it can go (slightly) negative on fully dense levels.
-  offset_t zred_blocks_total = 0;    ///< ancestor blocks considered
-  offset_t zred_blocks_skipped = 0;  ///< blocks omitted as all-zero
   offset_t zred_bytes_saved = 0;     ///< W_red bytes avoided vs Dense
-  /// Sparse panel-broadcast accounting (root side; zero unless
-  /// PanelPacking::Sparse is enabled). `panel_dense_bytes` is the
-  /// dense-equivalent payload of the packed panel broadcasts rooted at this
-  /// rank; `panel_saved_bytes` subtracts both the packed payload and the
-  /// bitmap-frame overhead from it (so it can go slightly negative on fully
-  /// dense panels); `panel_saved_msgs` counts broadcasts elided because the
-  /// block payload was entirely zero.
-  offset_t panel_dense_bytes = 0;  ///< dense-equivalent packed-bcast payload
+  /// Targeted panel accounting (root side; zero unless
+  /// PanelPacking::Targeted is enabled). `panel_dense_bytes` is the
+  /// dense-equivalent volume of the panel payloads rooted at this rank, one
+  /// copy per peer; `panel_saved_bytes` subtracts the footprint puts,
+  /// bitmap words included, from it (so it can go slightly negative on
+  /// fully dense panels); `panel_saved_msgs` counts per-entry dense
+  /// messages replaced by no put at all.
+  offset_t panel_dense_bytes = 0;  ///< dense-equivalent panel payload
   offset_t panel_saved_bytes = 0;  ///< XY panel bytes avoided vs Dense
-  offset_t panel_saved_msgs = 0;   ///< panel broadcasts elided as all-zero
+  offset_t panel_saved_msgs = 0;   ///< dense panel messages not sent
   /// Clock advance spent blocked for message arrivals: the sum over all
   /// receives (blocking recv and Request::wait alike) of
   /// max(0, sender_completion - local clock). With non-blocking

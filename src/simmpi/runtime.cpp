@@ -58,14 +58,12 @@ struct Envelope {
 /// computes locally from (comm_id, tag, per-member creation count) — the
 /// counts stay in lockstep because win_create is collective, so members
 /// rendezvous on the same entry without serializing pointers. Each member
-/// writes only its own extent/snapshot slot; cross-rank reads are ordered
-/// by the uncharged creation handshake and by fence barriers.
+/// writes only its own extent slot; cross-rank reads are ordered by the
+/// uncharged creation handshake.
 struct WindowShared {
   std::uint64_t uid = 0;
   int p = 0;
   std::vector<std::size_t> extents;
-  std::vector<std::vector<real_t>> snapshots;  ///< what get() reads
-  std::vector<double> snap_clocks;             ///< publish time per member
 };
 
 class Context {
@@ -164,22 +162,6 @@ class Context {
     return pop_ready(mb, key, ticket);
   }
 
-  /// Fused ticket-draw + take for the next *already delivered* envelope of
-  /// `key`: succeeds only if the slot the next ticket would match holds a
-  /// landed envelope, and then consumes both. Lets a fence drain every
-  /// operation that arrived in the closing epoch without registering
-  /// receives for them up front (one-sided targets don't know the count).
-  std::optional<Envelope> try_take_next(int dst_world, const MsgKey& key) {
-    Mailbox& mb = *mailboxes[static_cast<std::size_t>(dst_world)];
-    const std::lock_guard<std::mutex> lock(mb.mu);
-    if (aborted.load(std::memory_order_relaxed))
-      throw Error("simmpi: run aborted by a failing rank");
-    const auto it = mb.queues.find(key);
-    if (it == mb.queues.end() || !it->second.ready.contains(it->second.next_ticket))
-      return std::nullopt;
-    return pop_ready(mb, key, it->second.next_ticket++);
-  }
-
   /// Rendezvous for win_create: every member computes `uid` locally and the
   /// first to arrive creates the shared struct.
   std::shared_ptr<WindowShared> window_shared(std::uint64_t uid, int p) {
@@ -190,8 +172,6 @@ class Context {
       slot->uid = uid;
       slot->p = p;
       slot->extents.resize(static_cast<std::size_t>(p), 0);
-      slot->snapshots.resize(static_cast<std::size_t>(p));
-      slot->snap_clocks.resize(static_cast<std::size_t>(p), 0.0);
     }
     SLU3D_CHECK(slot->p == p, "win_create: uid collision across sizes");
     return slot;
@@ -928,9 +908,6 @@ Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
       count * std::uint64_t{0x9e3779b97f4a7c15});
   auto sh = ctx_->window_shared(uid, p);
   sh->extents[static_cast<std::size_t>(rank_)] = local.size();
-  sh->snapshots[static_cast<std::size_t>(rank_)].assign(local.begin(),
-                                                        local.end());
-  sh->snap_clocks[static_cast<std::size_t>(rank_)] = clock();
   // Uncharged handshake (like split()): gather-to-member-0 + replies. This
   // orders every member's slot writes before every member's return, so no
   // operation can race window creation.
@@ -954,7 +931,6 @@ Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
   w.plane_ = plane;
   w.local_ = local;
   w.origin_.resize(static_cast<std::size_t>(p));
-  w.comm_ = std::make_shared<Comm>(*this);
   return w;
 }
 
@@ -1121,71 +1097,6 @@ void WindowDelivery::wait() {
   w->apply_through(origin_, seq_);
 }
 
-void Window::get(int target, std::size_t offset, std::span<real_t> out) {
-  assert_funneled();
-  SLU3D_CHECK(valid(), "get: invalid window");
-  SLU3D_CHECK(target >= 0 && target < size(), "get: bad target");
-  const auto& snap = sh_->snapshots[static_cast<std::size_t>(target)];
-  SLU3D_CHECK(offset + out.size() <= snap.size(), "get: out of range");
-  const int me = members_[static_cast<std::size_t>(rank_)];
-  auto& st = ctx_->stats[static_cast<std::size_t>(me)];
-  const offset_t bytes = payload_bytes(out.size());
-  const double t0 = st.clock;
-  // The payload leaves the target at its snapshot publish time; the fetch
-  // occupies the origin for the transfer (the target's thread is not
-  // involved — that is the point of one-sided). Charged contention-free
-  // along the target -> origin route: a snapshot read models pulling from
-  // exposed memory, not a queued wire transfer, so it must not perturb
-  // (or be perturbed by) the busy clocks — this also keeps flat runs
-  // bitwise-reproducible, get() being the one charge whose ordering
-  // across ranks is not pinned by message matching.
-  const double start =
-      std::max(st.clock, sh_->snap_clocks[static_cast<std::size_t>(target)]);
-  st.clock = start + ctx_->layout.route_seconds(
-                         members_[static_cast<std::size_t>(target)], me, bytes);
-  ctx_->record(me, {TraceEvent::Kind::Recv, t0, st.clock,
-                    members_[static_cast<std::size_t>(target)], bytes,
-                    ComputeKind::Other, -1});
-  st.wait_seconds += start - t0;
-  st.add_received(plane_, bytes);
-  std::copy_n(snap.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-              out.begin());
-}
-
-void Window::fence(int tag) {
-  assert_funneled();
-  SLU3D_CHECK(valid(), "fence: invalid window");
-  // Barrier 1: every operation of the closing epoch has been injected
-  // (and, the mailboxes being synchronous, delivered) before any rank
-  // starts applying — so the drain below sees exactly the epoch's ops.
-  comm_->barrier(tag, plane_);
-  const int me = members_[static_cast<std::size_t>(rank_)];
-  for (int o = 0; o < size(); ++o) {
-    auto& os = origin_[static_cast<std::size_t>(o)];
-    const detail::MsgKey key{sh_->uid, members_[static_cast<std::size_t>(o)],
-                             rma_op_tag()};
-    // Expected-but-unwaited deliveries first (they hold earlier tickets),
-    // then everything that arrived unannounced, all in post order.
-    while (os.next_applied < os.next_expect) {
-      detail::Envelope env = ctx_->take_ticket(me, key, os.next_applied);
-      apply_envelope(o, std::move(env.payload), env.arrival);
-      ++os.next_applied;
-    }
-    while (auto env = ctx_->try_take_next(me, key)) {
-      apply_envelope(o, std::move(env->payload), env->arrival);
-      ++os.next_expect;
-      ++os.next_applied;
-    }
-  }
-  sh_->snapshots[static_cast<std::size_t>(rank_)].assign(local_.begin(),
-                                                         local_.end());
-  sh_->snap_clocks[static_cast<std::size_t>(rank_)] =
-      ctx_->stats[static_cast<std::size_t>(me)].clock;
-  // Barrier 2: snapshots are published before any rank's next epoch (or
-  // get()) can read them.
-  comm_->barrier(tag, plane_);
-}
-
 double RunResult::max_clock() const {
   double best = 0;
   for (const auto& r : ranks) best = std::max(best, r.clock);
@@ -1223,18 +1134,6 @@ double RunResult::max_compute_seconds(ComputeKind kind) const {
 offset_t RunResult::total_zred_bytes_saved() const {
   offset_t total = 0;
   for (const auto& r : ranks) total += r.zred_bytes_saved;
-  return total;
-}
-
-offset_t RunResult::total_zred_blocks_skipped() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.zred_blocks_skipped;
-  return total;
-}
-
-offset_t RunResult::total_zred_blocks_total() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.zred_blocks_total;
   return total;
 }
 

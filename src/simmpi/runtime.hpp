@@ -46,7 +46,7 @@ namespace slu3d::sim {
 namespace detail {
 class Context;          // shared mailboxes + stats, defined in runtime.cpp
 struct RequestState;    // per-operation completion state, runtime.cpp
-struct WindowShared;    // cross-rank window metadata + snapshots, runtime.cpp
+struct WindowShared;    // cross-rank window metadata, runtime.cpp
 }
 
 class Window;
@@ -226,17 +226,10 @@ class WindowDelivery {
 /// Comm::win_create). Origin-side operations — put/accumulate/
 /// scatter_accumulate — are charged exactly like isend: alpha on the
 /// origin's clock, the transfer serialized on the origin's wire, and the
-/// data bytes booked as sent on the window's plane. The receiver side
-/// offers two completion models:
-///  - targeted: the receiver calls expect(origin) once per operation it
-///    knows (symbolically) is coming, and wait()s the returned delivery
-///    at the point the data is needed — the pipeline engines' model;
-///  - epoch: fence(tag) closes an access epoch collectively, applying
-///    every operation landed so far and refreshing the snapshot that
-///    get() reads — the classic MPI_Win_fence model.
-/// get(target,...) reads from the target's last fenced snapshot without
-/// involving the target's thread, charged like a blocking receive whose
-/// payload leaves the target at its snapshot clock. Move-only.
+/// data bytes booked as sent on the window's plane. The receiver calls
+/// expect(origin) once per operation it knows (symbolically) is coming,
+/// and wait()s the returned delivery at the point the data is needed.
+/// Move-only.
 class Window {
  public:
   Window() = default;
@@ -271,17 +264,6 @@ class Window {
   /// is reserved at call time, exactly like an irecv posting.
   WindowDelivery expect(int origin);
 
-  /// Reads target's snapshot (as of its last fence / creation) into
-  /// `out`, starting at element `offset`.
-  void get(int target, std::size_t offset, std::span<real_t> out);
-
-  /// Collective epoch close: applies every operation that reached this
-  /// rank (expected or not), publishes the local memory as the snapshot
-  /// get() serves, and synchronizes the communicator. Deterministic:
-  /// the surrounding barriers mean exactly the operations of the closing
-  /// epoch are applied, in origin-rank then post order.
-  void fence(int tag);
-
  private:
   friend class Comm;
   friend class WindowDelivery;
@@ -301,8 +283,6 @@ class Window {
   CommPlane plane_ = CommPlane::XY;
   std::span<real_t> local_;
   std::vector<OriginSeq> origin_;
-  /// The creating communicator, kept for the fence barriers.
-  std::shared_ptr<Comm> comm_;
 };
 
 /// Lifetime usage of one platform link: what travelled over it and how
@@ -336,15 +316,12 @@ struct RunResult {
   offset_t max_bytes_received(CommPlane plane) const;
   offset_t total_bytes_sent(CommPlane plane) const;
   double max_compute_seconds(ComputeKind kind) const;
-  /// Aggregate sparse z-reduction savings across ranks (zero when
-  /// ZRedPacking::Dense): W_red bytes avoided and blocks skipped/considered.
+  /// Aggregate targeted z-reduction savings across ranks (zero when
+  /// ZRedPacking::Dense): W_red bytes avoided, bitmap overhead netted out.
   offset_t total_zred_bytes_saved() const;
-  offset_t total_zred_blocks_skipped() const;
-  offset_t total_zred_blocks_total() const;
-  /// Aggregate sparse panel-broadcast savings across ranks (zero when
-  /// PanelPacking::Dense): dense-equivalent payload of the packed panel
-  /// broadcasts, XY bytes avoided (frame overhead netted out), and data
-  /// broadcasts elided because the block was entirely zero.
+  /// Aggregate targeted panel savings across ranks (zero when
+  /// PanelPacking::Dense): dense-equivalent panel payload, XY bytes
+  /// avoided (bitmap overhead netted out), and dense messages not sent.
   offset_t total_panel_dense_bytes() const;
   offset_t total_panel_saved_bytes() const;
   offset_t total_panel_saved_msgs() const;

@@ -17,9 +17,9 @@
 //    run with the same (z-async, chunk) signature,
 //  - XY received volume is monotonically non-increasing vs. the baseline:
 //    exactly equal for dense panel packing (async/blocking share the same
-//    binomial trees), strictly smaller under sparse panel packing,
+//    binomial trees), strictly smaller under targeted panel delivery,
 //  - Z received volume reconciles exactly against the zred_saved counter
-//    (which nets out the bitmap-frame overhead and is allowed to go
+//    (which nets out the bitmap overhead and is allowed to go
 //    slightly negative on mostly-dense reduction levels),
 //  - the RankStats/RunResult savings counters agree with which packing ran.
 // It also pins the seed golden fig9 counters under an *explicitly* Dense
@@ -87,16 +87,6 @@ constexpr Knobs kSweep[] = {
      pipeline::ZRedPacking::Dense, 1},
     {"async_dense_la0", 0, true, pipeline::PanelPacking::Dense,
      pipeline::ZRedPacking::Dense, 1},
-    {"async_sparsepanel_la0", 0, true, pipeline::PanelPacking::Sparse,
-     pipeline::ZRedPacking::Dense, 1},
-    {"async_sparsepanel_la8", 8, true, pipeline::PanelPacking::Sparse,
-     pipeline::ZRedPacking::Dense, 1},
-    {"blocking_sparsepanel_la8", 8, false, pipeline::PanelPacking::Sparse,
-     pipeline::ZRedPacking::Dense, 1},
-    {"async_sparsezred_chunk2_la8", 8, true, pipeline::PanelPacking::Dense,
-     pipeline::ZRedPacking::Sparse, 2},
-    {"async_allsparse_chunk3_la8", 8, true, pipeline::PanelPacking::Sparse,
-     pipeline::ZRedPacking::Sparse, 3},
     {"async_targetedpanel_la8", 8, true, pipeline::PanelPacking::Targeted,
      pipeline::ZRedPacking::Dense, 1},
     {"async_targetedpanel_la0", 0, true, pipeline::PanelPacking::Targeted,
@@ -257,7 +247,7 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
   // XY is monotone non-increasing: no combination may move more panel
   // bytes than the baseline.
   EXPECT_LE(vt.bytes[0], bt.bytes[0]) << "XY volume regressed";
-  // Z is exact-accounted: the zred_saved counter reconciles the sparse
+  // Z is exact-accounted: the zred_saved counter reconciles the targeted
   // volume to the dense one to the byte (and may be slightly *negative* on
   // problems whose reduction levels are mostly dense — the per-chunk
   // bitmap overhead is included in the counter by design, so the identity
@@ -272,7 +262,7 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
     EXPECT_EQ(v.total_panel_dense_bytes(), 0);
     EXPECT_EQ(v.total_panel_saved_bytes(), 0);
     EXPECT_EQ(v.total_panel_saved_msgs(), 0);
-  } else if (k.panel == pipeline::PanelPacking::Targeted) {
+  } else {
     // One-sided footprint puts: headers are uncharged and no presence
     // frame travels, so the saved counters reconcile the targeted wire to
     // the dense equivalent exactly — to the byte AND to the message — on
@@ -286,19 +276,11 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
         << "XY volume not reconciled by panel_saved";
     EXPECT_EQ(vt.msgs[0] + v.total_panel_saved_msgs(), bt.msgs[0])
         << "XY messages not reconciled by panel_saved_msgs";
-  } else {
-    // Ragged ancestor panels are 10-25% zero scalars on the fig9 problems,
-    // well above the 1/64 bitmap-frame overhead: strict XY win.
-    EXPECT_LT(vt.bytes[0], bt.bytes[0]);
-    EXPECT_GT(v.total_panel_dense_bytes(), 0);
-    EXPECT_GT(v.total_panel_saved_bytes(), 0);
-    EXPECT_LT(v.total_panel_saved_bytes(), v.total_panel_dense_bytes());
   }
   if (k.zred == pipeline::ZRedPacking::Dense) {
     EXPECT_EQ(v.total_zred_bytes_saved(), 0);
-    EXPECT_EQ(v.total_zred_blocks_total(), 0);
   } else if (Pz > 1) {
-    EXPECT_GT(v.total_zred_blocks_total(), 0);  // the packer engaged
+    EXPECT_NE(v.total_zred_bytes_saved(), 0);  // the packer engaged
   }
 }
 
@@ -416,8 +398,8 @@ TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
 // ---------------------------------------------------------------------------
 // The fig10 acceptance bar: on a K2D5pt-class matrix (fig10's planar
 // family: five-point grid Laplacian, leaf 32, geometric ND) at Pz = 4,
-// sparse panel packing must eliminate at least 15% of the dense-equivalent
-// panel-broadcast payload, and the saving must show up both in the
+// targeted panel delivery must eliminate at least 15% of the
+// dense-equivalent panel payload, and the saving must show up both in the
 // RunResult aggregates and in the XY totals.
 // ---------------------------------------------------------------------------
 
@@ -430,58 +412,54 @@ TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
   Knobs dense = kBaseline;
   dense.name = "dense";
   dense.async = true;
-  Knobs sparse = dense;
-  sparse.name = "sparsepanel";
-  sparse.panel = pipeline::PanelPacking::Sparse;
+  Knobs targeted = dense;
+  targeted.name = "targetedpanel";
+  targeted.panel = pipeline::PanelPacking::Targeted;
 
   const LuRun rd = run_lu(p, 2, 2, 4, dense);
-  const LuRun rs = run_lu(p, 2, 2, 4, sparse);
-  expect_factors_equal(rd.F, rs.F);
+  const LuRun rt = run_lu(p, 2, 2, 4, targeted);
+  expect_factors_equal(rd.F, rt.F);
 
-  const auto saved = rs.res.total_panel_saved_bytes();
-  const auto dense_eq = rs.res.total_panel_dense_bytes();
+  const auto saved = rt.res.total_panel_saved_bytes();
+  const auto dense_eq = rt.res.total_panel_dense_bytes();
   ASSERT_GT(dense_eq, 0);
   const double ratio =
       static_cast<double>(saved) / static_cast<double>(dense_eq);
   EXPECT_GE(ratio, 0.15) << "panel payload saving " << ratio * 100 << "%";
-  EXPECT_LT(plane_totals(rs.res).bytes[0], plane_totals(rd.res).bytes[0]);
+  EXPECT_LT(plane_totals(rt.res).bytes[0], plane_totals(rd.res).bytes[0]);
 }
 
 // ---------------------------------------------------------------------------
-// The fig10 bar for the one-sided delivery: on the same K2D5pt-class
-// problem, targeted footprint puts must save strictly more panel bytes than
-// the sparse-packed broadcasts — the broadcast tree pays every edge with
-// the full packed panel plus a presence frame, while a put carries only
-// what its one receiver reads and skips empty receivers entirely. The same
-// ordering must hold for the Z plane (scatter-accumulate vs framed chunks).
+// The fig10 bar for the one-sided delivery on both planes: on the same
+// K2D5pt-class problem, targeted footprint puts and scatter-accumulates
+// must move strictly fewer XY and Z bytes than the dense wire — a put
+// carries only what its one receiver reads and skips empty receivers
+// entirely, and a z chunk carries only its nonzero scalars — with factors
+// identical to the dense run.
 // ---------------------------------------------------------------------------
 
-TEST(CommEquivalence, Fig10ClassTargetedBeatsSparseSavings) {
+TEST(CommEquivalence, Fig10ClassTargetedBeatsDenseOnBothPlanes) {
   const GridGeometry g{64, 64, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 32});
   const Problem p{BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
 
-  Knobs sparse = kBaseline;
-  sparse.name = "allsparse";
-  sparse.async = true;
-  sparse.panel = pipeline::PanelPacking::Sparse;
-  sparse.zred = pipeline::ZRedPacking::Sparse;
-  Knobs targeted = sparse;
+  Knobs dense = kBaseline;
+  dense.name = "dense";
+  dense.async = true;
+  Knobs targeted = dense;
   targeted.name = "alltargeted";
   targeted.panel = pipeline::PanelPacking::Targeted;
   targeted.zred = pipeline::ZRedPacking::Targeted;
 
-  const LuRun rs = run_lu(p, 2, 2, 4, sparse);
+  const LuRun rd = run_lu(p, 2, 2, 4, dense);
   const LuRun rt = run_lu(p, 2, 2, 4, targeted);
-  expect_factors_equal(rs.F, rt.F);
+  expect_factors_equal(rd.F, rt.F);
 
-  // Identical dense-equivalent baseline, strictly more of it eliminated.
-  EXPECT_EQ(rt.res.total_panel_dense_bytes(), rs.res.total_panel_dense_bytes());
-  EXPECT_GT(rt.res.total_panel_saved_bytes(), rs.res.total_panel_saved_bytes());
-  EXPECT_GT(rt.res.total_zred_bytes_saved(), rs.res.total_zred_bytes_saved());
-  EXPECT_LT(plane_totals(rt.res).bytes[0], plane_totals(rs.res).bytes[0]);
-  EXPECT_LT(plane_totals(rt.res).bytes[1], plane_totals(rs.res).bytes[1]);
+  EXPECT_GT(rt.res.total_panel_saved_bytes(), 0);
+  EXPECT_GT(rt.res.total_zred_bytes_saved(), 0);
+  EXPECT_LT(plane_totals(rt.res).bytes[0], plane_totals(rd.res).bytes[0]);
+  EXPECT_LT(plane_totals(rt.res).bytes[1], plane_totals(rd.res).bytes[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "numeric/factor_io.hpp"
@@ -93,6 +96,87 @@ TEST(FactorIo, RejectsGarbageStream) {
   const BlockStructure bs(A, nested_dissection(A));
   EXPECT_THROW(read_factors_binary(ss, bs), Error);
   EXPECT_THROW(read_csr_binary(ss), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted length fields. A binary stream's claimed element or node count
+// must be checked against the bytes actually present before anything that
+// size is allocated. Two claims are exercised: one beyond vector::max_size()
+// and a small one larger than the bytes that follow.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void put_word(std::ostream& os, T v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// The first `bytes` bytes of `full` followed by the words in `tail`.
+template <typename T>
+std::stringstream splice(const std::string& full, std::size_t bytes,
+                         std::initializer_list<T> tail) {
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  ss.write(full.data(), static_cast<std::streamsize>(bytes));
+  for (const T w : tail) put_word(ss, w);
+  return ss;
+}
+
+constexpr std::uint64_t kHugeCount = ~std::uint64_t{0};
+
+TEST(FactorIo, CsrRejectsLengthsBeyondTheStream) {
+  const GridGeometry g{5, 5, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
+  write_csr_binary(full, A);
+  // magic + n_rows + n_cols, then the row_ptr length claim.
+  const std::size_t header = 3 * sizeof(std::uint64_t);
+  auto huge = splice<std::uint64_t>(full.str(), header, {kHugeCount});
+  EXPECT_THROW(read_csr_binary(huge), Error);
+  auto short_data = splice<std::uint64_t>(full.str(), header, {1000, 0, 1, 2});
+  EXPECT_THROW(read_csr_binary(short_data), Error);
+}
+
+TEST(FactorIo, TreeRejectsCountsBeyondTheStream) {
+  const GridGeometry g{6, 6, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
+  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
+  write_tree_binary(full, tree);
+  const std::string bytes = full.str();
+
+  // The permutation's length claim follows the magic word.
+  const std::size_t magic = sizeof(std::uint64_t);
+  auto huge_perm = splice<std::uint64_t>(bytes, magic, {kHugeCount});
+  EXPECT_THROW(read_tree_binary(huge_perm), Error);
+  auto short_perm = splice<std::uint64_t>(bytes, magic, {500, 0, 1});
+  EXPECT_THROW(read_tree_binary(short_perm), Error);
+
+  // The node count follows the permutation; it is signed on the wire.
+  const std::size_t perm_end =
+      magic + sizeof(std::uint64_t) + tree.perm().size() * sizeof(index_t);
+  auto negative = splice<std::int64_t>(bytes, perm_end, {-1, 0});
+  EXPECT_THROW(read_tree_binary(negative), Error);
+  auto huge_nodes = splice<std::int64_t>(
+      bytes, perm_end, {std::numeric_limits<std::int64_t>::max(), 0});
+  EXPECT_THROW(read_tree_binary(huge_nodes), Error);
+  auto short_nodes = splice<std::int64_t>(bytes, perm_end, {64, 0, 0, 0, 1});
+  EXPECT_THROW(read_tree_binary(short_nodes), Error);
+}
+
+TEST(FactorIo, FactorsRejectLengthsBeyondTheStream) {
+  const GridGeometry g{6, 6, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
+  const BlockStructure bs(A, tree);
+  SupernodalMatrix F(bs);
+  F.fill_from(A.permuted_symmetric(tree.perm()));
+  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
+  write_factors_binary(full, F);
+  // magic + structure fingerprint, then the first diagonal block's length.
+  const std::size_t header = 2 * sizeof(std::uint64_t);
+  auto huge = splice<std::uint64_t>(full.str(), header, {kHugeCount});
+  EXPECT_THROW(read_factors_binary(huge, bs), Error);
+  auto short_data = splice<std::uint64_t>(full.str(), header, {1000, 0, 0});
+  EXPECT_THROW(read_factors_binary(short_data, bs), Error);
 }
 
 TEST(MultiRhsSolve, MatchesSingleRhsSolves) {

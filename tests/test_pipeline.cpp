@@ -2,8 +2,8 @@
 //  - golden per-plane comm counters pinning the dense-mode wire format of
 //    both variants to the pre-refactor byte counts on the fig9 configs,
 //  - cross-variant schedule parity (LU vs Cholesky on the same SPD matrix),
-//  - sparse z-reduction packing: bitwise-identical factors, reduced W_red,
-//    savings counters,
+//  - sparse (targeted) z-reduction wire: bitwise-identical factors,
+//    reduced W_red, savings counters,
 //  - chunked / blocking reduction paths,
 //  - shared option validation.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "lu3d/factor3d.hpp"
 #include "lu3d/factor3d_chol.hpp"
-#include "numeric/dense_kernels.hpp"
 #include "order/nested_dissection.hpp"
 #include "pipeline/zreduce.hpp"
 #include "sparse/generators.hpp"
@@ -184,15 +183,16 @@ TEST(CrossVariantParity, CholMovesHalfTheReductionVolumeOfLu) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse z-reduction packing. Must change no numeric value (the factors are
+// Sparse z-reduction wire (ZRedPacking::Targeted: presence bitmap plus
+// nonzero scalars per chunk). Must change no numeric value (the factors are
 // compared bitwise against the dense run) while sending strictly fewer
-// reduction bytes and reporting the savings in the zred_* counters.
+// reduction bytes and reporting the savings in zred_bytes_saved.
 // ---------------------------------------------------------------------------
 
 Problem sparse_test_problem() {
   // Exactly fig10's K2D5pt at tiny scale (32x32 five-point Laplacian,
   // leaf_size 32): with Pz = 4 the shallow subtrees leave several ancestor
-  // replica blocks untouched, so sparse packing has something to skip.
+  // replica blocks untouched, so the sparse wire has something to skip.
   const GridGeometry g{32, 32, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 32});
@@ -231,7 +231,7 @@ void expect_bitwise_equal(const SupernodalMatrix& a, const SupernodalMatrix& b,
 TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
   const Problem p = sparse_test_problem();
   Lu3dOptions dense, sparse;
-  sparse.packing = pipeline::ZRedPacking::Sparse;
+  sparse.packing = pipeline::ZRedPacking::Targeted;
 
   RunResult rd, rs;
   const SupernodalMatrix fd = gather_lu3d(p, 2, 2, 4, dense, &rd);
@@ -240,13 +240,9 @@ TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
 
   // Dense mode reports no savings.
   EXPECT_EQ(rd.total_zred_bytes_saved(), 0);
-  EXPECT_EQ(rd.total_zred_blocks_total(), 0);
 
-  // Sparse mode skips blocks and shrinks the reduction plane everywhere
-  // it is measured: total sent, per-rank max received (paper W_red).
-  EXPECT_GT(rs.total_zred_blocks_total(), 0);
-  EXPECT_GT(rs.total_zred_blocks_skipped(), 0);
-  EXPECT_LT(rs.total_zred_blocks_skipped(), rs.total_zred_blocks_total());
+  // The sparse wire shrinks the reduction plane everywhere it is
+  // measured: total sent, per-rank max received (paper W_red).
   EXPECT_GT(rs.total_zred_bytes_saved(), 0);
   EXPECT_LT(rs.total_bytes_sent(CommPlane::Z), rd.total_bytes_sent(CommPlane::Z));
   EXPECT_LT(rs.max_bytes_received(CommPlane::Z),
@@ -281,7 +277,7 @@ TEST(SparseZReduction, CholeskyVariantAlsoSavesWithIdenticalFactors) {
   };
 
   Chol3dOptions dense, sparse;
-  sparse.packing = pipeline::ZRedPacking::Sparse;
+  sparse.packing = pipeline::ZRedPacking::Targeted;
   RunResult rd, rs;
   const CholeskyFactors fd = gather(dense, &rd);
   const CholeskyFactors fs = gather(sparse, &rs);
@@ -302,12 +298,12 @@ TEST(SparseZReduction, ChunkedAndBlockingPathsMatchBitwise) {
 
   Lu3dOptions chunked;
   chunked.chunk_snodes = 3;
-  chunked.packing = pipeline::ZRedPacking::Sparse;
+  chunked.packing = pipeline::ZRedPacking::Targeted;
   expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, chunked), p.bs.n());
 
   Lu3dOptions blocking;
   blocking.async = false;
-  blocking.packing = pipeline::ZRedPacking::Sparse;
+  blocking.packing = pipeline::ZRedPacking::Targeted;
   expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, blocking), p.bs.n());
 }
 
@@ -376,35 +372,6 @@ TEST(PipelineOptions, ZeroLookaheadStillFactorsCorrectly) {
   Lu3dOptions no_la;
   no_la.lu2d.lookahead = 0;
   expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, no_la), p.bs.n());
-}
-
-// ---------------------------------------------------------------------------
-// Unit coverage for the sparse-packing primitives.
-// ---------------------------------------------------------------------------
-
-TEST(SparsePackPrimitives, AllZeroScan) {
-  std::vector<real_t> x(37, 0.0);
-  EXPECT_TRUE(dense::all_zero(x.data(), x.size()));
-  EXPECT_TRUE(dense::all_zero(x.data(), 0));
-  x[36] = 1e-300;
-  EXPECT_FALSE(dense::all_zero(x.data(), x.size()));
-  x[36] = 0.0;
-  x[0] = -0.0;
-  EXPECT_TRUE(dense::all_zero(x.data(), x.size()));  // signed zero is zero
-  x[17] = -2.5;
-  EXPECT_FALSE(dense::all_zero(x.data(), x.size()));
-}
-
-TEST(SparsePackPrimitives, TriangularBlockZeroScanIgnoresUpperPart) {
-  // A 3x3 column-major "diagonal" block: only the lower triangle travels,
-  // so garbage in the strict upper part must not make the block present.
-  const index_t n = 3;
-  std::vector<real_t> blk(static_cast<std::size_t>(n * n), 0.0);
-  blk[3] = 99.0;  // (0,1): strictly upper
-  blk[6] = -1.0;  // (0,2): strictly upper
-  EXPECT_TRUE(pipeline::block_all_zero(blk, n));
-  blk[4] = 0.5;  // (1,1): on the diagonal
-  EXPECT_FALSE(pipeline::block_all_zero(blk, n));
 }
 
 }  // namespace
