@@ -12,7 +12,7 @@ namespace slu3d::service {
 namespace {
 
 /// Pz == 0: model-driven grid split (Eq. 8 for planar inputs) given the
-/// total rank budget Px*Py, mirroring the one-shot driver's policy.
+/// total rank budget Px*Py.
 void pick_dims(const ServiceOptions& o, index_t n, int& Px, int& Py, int& Pz) {
   Px = o.Px;
   Py = o.Py;
@@ -75,6 +75,12 @@ struct SolverService::Resident {
 };
 
 SolverService::SolverService(const ServiceOptions& options) : opt_(options) {
+  SLU3D_CHECK(opt_.Px >= 1 && opt_.Py >= 1, "grid dimensions must be positive");
+  SLU3D_CHECK(opt_.Pz >= 0 && (opt_.Pz & (opt_.Pz - 1)) == 0,
+              "Pz must be 0 (automatic) or a power of two");
+  // A negative count would make the per-request tag span zero or negative,
+  // so queued requests would share tag ranges.
+  SLU3D_CHECK(opt_.refinement_steps >= 0, "refinement_steps must be >= 0");
   SLU3D_CHECK(opt_.max_patterns >= 1, "need capacity for at least one pattern");
 }
 

@@ -159,6 +159,9 @@ struct SolveReport {
 
 class SolverService {
  public:
+  /// Throws slu3d::Error for options no run can use: Px or Py < 1, Pz
+  /// neither 0 nor a power of two, refinement_steps < 0, or
+  /// max_patterns == 0.
   explicit SolverService(const ServiceOptions& options);
   ~SolverService();
   SolverService(const SolverService&) = delete;

@@ -8,9 +8,9 @@
 #include <mutex>
 
 #include "lu3d/factor3d.hpp"
-#include "lu3d/solver3d.hpp"
 #include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
+#include "service/solver_service.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
 
@@ -85,7 +85,7 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
   const index_t n = 40 + rng.next_index(80);
   const CsrMatrix A = random_matrix(n, 2 * n, seed + 100, false);
 
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   const int shapes[][3] = {{1, 1, 2}, {2, 1, 2}, {1, 2, 4}, {2, 2, 1},
                            {2, 2, 2}, {1, 3, 2}, {3, 1, 1}, {2, 3, 1}};
   const auto& s = shapes[seed % 8];
@@ -99,7 +99,9 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
   std::vector<real_t> xref(nu), b(nu), x(nu);
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  service::SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_NEAR(x[i], xref[i], 1e-6) << "seed " << seed << " i=" << i;
@@ -126,7 +128,7 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   const index_t extra = n / 2 + rng.next_index(3 * n);
   const CsrMatrix A = random_matrix(n, extra, seed + 500, (seed % 3) == 0);
 
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   const int shapes[][3] = {{2, 2, 1}, {2, 1, 2}, {1, 2, 4}, {2, 2, 2},
                            {1, 3, 2}, {2, 3, 1}};
   const auto& s = shapes[seed % 6];
@@ -143,16 +145,20 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   A.spmv(xref, b);
 
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Dense;
-  const auto repd = solve_distributed_3d(A, b, xd, opt);
+  service::SolverService dense(opt);
+  const auto fd = dense.factor(A);
+  const auto repd = dense.solve({b, xd, 1});
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
-  const auto reps = solve_distributed_3d(A, b, xs, opt);
+  service::SolverService sparse(opt);
+  const auto fs = sparse.factor(A);
+  const auto reps = sparse.solve({b, xs, 1});
 
   EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
   EXPECT_LT(reps.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_EQ(xd[i], xs[i]) << "seed " << seed << " i=" << i;
   // Packing may only remove bytes from the XY factor volume.
-  EXPECT_LE(reps.w_fact, repd.w_fact) << "seed " << seed;
+  EXPECT_LE(fs.w_fact, fd.w_fact) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPackingFuzz, ::testing::Range(0, 12));
@@ -173,7 +179,7 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
   const index_t extra = n / 2 + rng.next_index(3 * n);
   const CsrMatrix A = random_matrix(n, extra, seed + 900, (seed % 3) == 0);
 
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   const int shapes[][3] = {{2, 2, 1}, {2, 1, 2}, {1, 2, 4}, {2, 2, 2},
                            {1, 3, 2}, {2, 3, 1}};
   const auto& s = shapes[seed % 6];
@@ -193,16 +199,20 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
 
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Dense;
   opt.lu3d.packing = pipeline::ZRedPacking::Dense;
-  const auto repd = solve_distributed_3d(A, b, xd, opt);
+  service::SolverService dense(opt);
+  const auto fd = dense.factor(A);
+  const auto repd = dense.solve({b, xd, 1});
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
   opt.lu3d.packing = pipeline::ZRedPacking::Targeted;
-  const auto rept = solve_distributed_3d(A, b, xt, opt);
+  service::SolverService targeted(opt);
+  const auto ft = targeted.factor(A);
+  const auto rept = targeted.solve({b, xt, 1});
 
   EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
   EXPECT_LT(rept.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_EQ(xd[i], xt[i]) << "seed " << seed << " i=" << i;
-  EXPECT_LE(rept.w_fact, repd.w_fact) << "seed " << seed;
+  EXPECT_LE(ft.w_fact, fd.w_fact) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTargetedDeliveryFuzz,
@@ -216,15 +226,19 @@ TEST(Fuzz, FullyDensePanelsSurviveSparsePacking) {
   const CsrMatrix A = random_matrix(n, n * n, 4242, false);
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> b(nu, 1.0), xd(nu), xs(nu);
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 1;
   opt.nd.leaf_size = 6;
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Dense;
-  const auto repd = solve_distributed_3d(A, b, xd, opt);
+  service::SolverService dense(opt);
+  dense.factor(A);
+  const auto repd = dense.solve({b, xd, 1});
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
-  const auto reps = solve_distributed_3d(A, b, xs, opt);
+  service::SolverService sparse(opt);
+  sparse.factor(A);
+  const auto reps = sparse.solve({b, xs, 1});
   EXPECT_LT(repd.residual, 1e-12);
   EXPECT_LT(reps.residual, 1e-12);
   for (std::size_t i = 0; i < nu; ++i) ASSERT_EQ(xd[i], xs[i]) << "i=" << i;
@@ -304,12 +318,14 @@ TEST(Fuzz, DenseLeafMatrixSingleSupernode) {
   EXPECT_EQ(tree.n_nodes(), 1);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 1;
   opt.nd.leaf_size = 64;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  service::SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-12);
 }
 
@@ -325,12 +341,14 @@ TEST(Fuzz, PathGraphDeepTree) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> b(nu, 1.0), x(nu);
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   opt.Px = 1;
   opt.Py = 2;
   opt.Pz = 4;
   opt.nd.leaf_size = 4;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  service::SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-13);
 }
 
@@ -348,12 +366,14 @@ TEST(Fuzz, ManyIslandsForestPartition) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto nu = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(nu, 1.0), x(nu);
-  Solver3dOptions opt;
+  service::ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 4;
   opt.nd.leaf_size = 4;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  service::SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-13);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -131,6 +134,90 @@ INSTANTIATE_TEST_SUITE_P(
              "x" + std::to_string(pi.param.Pz);
     });
 
+// Pz = 1 is the 2D SuperLU_DIST layout, so the Solve2d cases below run
+// solve_3d on a single Px x Py plane.
+struct GridCase {
+  int Px, Py;
+};
+
+class Solve2dGrids : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(Solve2dGrids, SolvesPlanarSystem) {
+  const auto [Px, Py] = GetParam();
+  const GridGeometry g{11, 9, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  check_3d_pipeline(A, nested_dissection(A, {.leaf_size = 8}), Px, Py, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(GridShapes, Solve2dGrids,
+                         ::testing::Values(GridCase{1, 1}, GridCase{1, 2},
+                                           GridCase{2, 1}, GridCase{2, 2},
+                                           GridCase{2, 3}, GridCase{3, 2},
+                                           GridCase{4, 2}),
+                         [](const auto& pi) {
+                           return "Px" + std::to_string(pi.param.Px) + "Py" +
+                                  std::to_string(pi.param.Py);
+                         });
+
+TEST(Solve2d, NonsymmetricValues) {
+  const GridGeometry g{7, 8, 1};
+  const CsrMatrix A = grid2d_convection_diffusion(g, 0.4);
+  check_3d_pipeline(A, nested_dissection(A, {.leaf_size = 6}), 2, 2, 1);
+}
+
+TEST(Solve2d, NonplanarMatrix) {
+  const GridGeometry g{4, 4, 4};
+  const CsrMatrix A = grid3d_laplacian(g, Stencil3D::SevenPoint);
+  check_3d_pipeline(A, geometric_nd(g, {.leaf_size = 8}), 2, 2, 1);
+}
+
+TEST(Solve2d, KktSystem) {
+  const GridGeometry g{3, 3, 2};
+  const CsrMatrix A = kkt3d(g, 3);
+  check_3d_pipeline(A, nested_dissection(A, {.leaf_size = 8}), 3, 2, 1);
+}
+
+TEST(Solve2d, RepeatedSolvesWithSameFactors) {
+  // Two back-to-back solves on one set of resident factors, in distinct
+  // tag ranges; each must recover its own known solution.
+  const GridGeometry g{10, 10, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
+  const BlockStructure bs(A, tree);
+  const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
+  const auto pinv = invert_permutation(tree.perm());
+  const auto n = static_cast<std::size_t>(A.n_rows());
+
+  std::vector<real_t> err(2, 1e300);
+  run_ranks(4, kModel, [&](sim::Comm& world) {
+    auto grid = ProcessGrid3D::create(world, 2, 2, 1);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
+
+    for (int rhs = 0; rhs < 2; ++rhs) {
+      Rng rng(static_cast<std::uint64_t>(100 + rhs));
+      std::vector<real_t> xref(n), b(n), x(n);
+      for (auto& v : xref) v = rng.uniform(-1, 1);
+      A.spmv(xref, b);
+      for (std::size_t i = 0; i < n; ++i)
+        x[static_cast<std::size_t>(pinv[i])] = b[i];
+      Solve3dOptions opt;
+      opt.tag_base = (1 << 24) + rhs * solve3d_tag_span(bs);
+      solve_3d(F, world, grid, part, x, opt);
+      if (world.rank() == 0) {
+        real_t e = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          e = std::max(e, std::abs(x[static_cast<std::size_t>(pinv[i])] -
+                                   xref[i]));
+        err[static_cast<std::size_t>(rhs)] = e;
+      }
+    }
+  });
+  EXPECT_LT(err[0], 1e-9);
+  EXPECT_LT(err[1], 1e-9);
+}
+
 TEST(Solve3d, NonplanarSystem) {
   const GridGeometry g{4, 5, 4};
   const CsrMatrix A = grid3d_laplacian(g, Stencil3D::SevenPoint);
@@ -246,26 +333,30 @@ TEST(Solve3d, LsumSendsOneMessagePerRemoteSourceAndNoneToSelf) {
   EXPECT_EQ(self_sends, 0);
 }
 
-TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
-  // One nrhs-wide sweep must produce exactly the columns that nrhs
-  // independent single-RHS solves produce: per-column accumulation order
-  // in the panel kernels does not depend on the panel width, so the
-  // comparison is bitwise. The sequential solves run back-to-back on the
-  // same resident factors with tag bases advanced by solve3d_tag_span —
-  // the tag-collision regression for queued solves on one grid.
-  const GridGeometry g{11, 10, 1};
-  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
+/// One nrhs-wide sweep must produce exactly the columns that nrhs
+/// independent single-RHS solves produce: per-column accumulation order in
+/// the panel kernels does not depend on the panel width, so the comparison
+/// is bitwise. The sequential solves run back-to-back on the same resident
+/// factors with tag bases advanced by solve3d_tag_span — the tag-collision
+/// regression for queued solves on one grid — and each must recover its
+/// column of the known solution.
+void check_batched_matches_sequential(const CsrMatrix& A,
+                                      const SeparatorTree& tree, int Pz,
+                                      index_t nrhs, std::uint64_t seed) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
-  const int Px = 2, Py = 2, Pz = 2;
   const ForestPartition part(bs, Pz);
   const auto n = static_cast<std::size_t>(A.n_rows());
-  const index_t nrhs = 4;
+  const int Px = 2, Py = 2;
 
-  Rng rng(93);
-  std::vector<real_t> B(n * static_cast<std::size_t>(nrhs));
-  for (auto& v : B) v = rng.uniform(-1, 1);
+  Rng rng(seed);
+  std::vector<real_t> X(n * static_cast<std::size_t>(nrhs)), B(X.size());
+  for (auto& v : X) v = rng.uniform(-1, 1);
+  for (index_t j = 0; j < nrhs; ++j) {
+    const auto off = static_cast<std::size_t>(j) * n;
+    Ap.spmv(std::span<const real_t>(X).subspan(off, n),
+            std::span<real_t>(B).subspan(off, n));
+  }
 
   std::vector<real_t> batched, seq;
   run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
@@ -282,8 +373,8 @@ TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
     for (index_t j = 0; j < nrhs; ++j) {
       Solve3dOptions sopt;
       sopt.tag_base = (1 << 24) + (j + 1) * solve3d_tag_span(bs);
-      solve_3d(F, world, grid, part,
-               std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n),
+      const auto off = static_cast<std::size_t>(j) * n;
+      solve_3d(F, world, grid, part, std::span<real_t>(xs).subspan(off, n),
                sopt);
     }
     if (world.rank() == 0) {
@@ -293,8 +384,24 @@ TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
   });
 
   ASSERT_EQ(batched.size(), seq.size());
-  for (std::size_t i = 0; i < batched.size(); ++i)
-    EXPECT_EQ(batched[i], seq[i]) << "panel entry " << i;
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i], seq[i]) << "Pz " << Pz << " panel entry " << i;
+    EXPECT_NEAR(seq[i], X[i], 1e-9) << "Pz " << Pz << " panel entry " << i;
+  }
+}
+
+TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
+  const GridGeometry g{11, 10, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  check_batched_matches_sequential(A, geometric_nd(g, {.leaf_size = 8}), 2, 4,
+                                   93);
+}
+
+TEST(Solve2d, BatchedPanelBitwiseMatchesSequentialSolves) {
+  const GridGeometry g{10, 9, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  check_batched_matches_sequential(A, nested_dissection(A, {.leaf_size = 8}),
+                                   1, 3, 57);
 }
 
 TEST(Solve3d, BatchedMessageCountIndependentOfNrhs) {

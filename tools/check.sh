@@ -30,10 +30,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # front end (coalesced batch dispatch, cache-warm migration) also runs
 # every sanitizer leg with SLU3D_THREADS=4 pools under the shards.
 # Solve3d puts the 3D solve's buffered, out-of-order local-sum sends under
-# both sanitizers.
+# both sanitizers, at Pz = 1 (the 2D layout) and above. Solver3d and
+# SolverService keep the end-to-end factor-then-solve requests through the
+# service in every leg.
 REQUIRED_SUITES=(CommEquivalence ThreadPool Funneled Determinism Rma
                  RandomTargetedDeliveryFuzz Fleet PlatformRuntime
-                 DistAnalysis Solve3d)
+                 DistAnalysis Solve3d Solver3d SolverService)
 
 require_suites() {
   local dir="$1" list
